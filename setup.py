@@ -1,28 +1,9 @@
 """Build script for the optional compiled forcing kernels.
 
-The extension is marked optional: if no C compiler (or Cython) is available
-the install still succeeds and the package falls back to the pure-Python
-kernels at import time.
+The extension is optional: without a C compiler the install still succeeds
+and the package falls back to the pure-Python kernels at import time.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "zforce._kernels",
-                sources=["src/zforce/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("zforce._kernels", ["src/zforce/_kernels.c"], optional=True)])

@@ -1,7 +1,7 @@
 """Zero forcing parameters, OS-sets, nullity bounds, and matrix witnesses.
 
-The hot search kernels have a compiled (Cython) implementation with a
-pure-Python fallback chosen at import; see zforce.kernels.backend_name().
+The hot search kernels have a compiled C implementation with a pure-Python
+fallback chosen at import; see zforce.kernels.backend_name().
 """
 
 from .bounds import (

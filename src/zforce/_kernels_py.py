@@ -1,7 +1,7 @@
 """Pure-Python forcing kernels over bitmask adjacency.
 
 Reference implementation of the hot loops; works for any order because
-masks are plain Python ints.  The compiled twin in _kernels.pyx mirrors
+masks are plain Python ints.  The compiled twin in _kernels.c mirrors
 these semantics exactly (including the failed-closure cache policy, so
 node counts agree) for n <= 64.
 """
@@ -85,8 +85,9 @@ def _advance(c: list[int], n: int, k: int) -> bool:
 def first_forcing_lex(adj, n, k, psd, start=None, count=-1, prune=True):
     """First k-subset (in lexicographic order) whose closure is all of V.
 
-    Scans `count` combinations starting from the sorted tuple `start`
-    (count < 0 means to the end).  Returns (mask_or_None, closures_run).
+    Scans `count` combinations starting from `start`, k strictly increasing
+    vertices in 0..n-1 (count < 0 means to the end).  Returns
+    (mask_or_None, closures_run).
     The failed-closure cache skips candidates contained in a recorded
     non-forcing closed set; it never changes which subset is found first.
     """
@@ -95,6 +96,9 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1, prune=True):
     closure = closure_psd if psd else closure_standard
     full = (1 << n) - 1
     c = list(range(k)) if start is None else list(start)
+    if (len(c) != k or c[0] < 0 or c[-1] >= n
+            or any(a >= b for a, b in zip(c, c[1:]))):
+        raise ValueError("start must be k strictly increasing vertices in 0..n-1")
     explored = 0
     failed: list[int] = []
     slot = 0

@@ -353,18 +353,23 @@ def components(g: Graph, within: VertexSet) -> list[VertexSet]:
     remaining = within.mask
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
+        comp = component_mask(g, remaining, (remaining & -remaining).bit_length() - 1)
         comps.append(VertexSet(g.n, comp))
         remaining &= ~comp
     return comps
+
+
+def component_mask(g: Graph, within: int, v: int) -> int:
+    """Mask of the component of v in the subgraph induced on the mask `within`."""
+    comp = 1 << v
+    frontier = comp
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
 
 
 def induced(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:

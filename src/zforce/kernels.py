@@ -1,23 +1,18 @@
 """Backend selection for the forcing kernels.
 
-Prefers the compiled extension when it imported cleanly and the graph fits
-in one machine word (n <= 64); larger graphs and the environment override
-ZFORCE_PURE_PYTHON=1 use the pure-Python twin.  Both backends implement
+Prefers the compiled extension (_kernels.c) when it imported cleanly and the
+graph fits in one machine word (n <= 64); larger graphs, and installs built
+without a C compiler, use the pure-Python twin.  Both backends implement
 identical semantics, so results never depend on which one ran.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernels_py as _py
 
 try:
     from . import _kernels as _c
 except ImportError:
-    _c = None
-
-if os.environ.get("ZFORCE_PURE_PYTHON"):
     _c = None
 
 HAVE_COMPILED = _c is not None

@@ -11,6 +11,7 @@ forcing number by the duality OS(G) + Z+(G) = |G|.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from .graph import (
     InvariantViolation,
     SizeLimitError,
     VertexSet,
+    _bits,
+    component_mask,
     components,
     induced,
 )
@@ -87,10 +90,12 @@ def zero_forcing_number(
     """Exact Z(G) (rule="standard") or Z+(G) (rule="psd") with one optimum set.
 
     The optimum set is the lexicographically smallest one, assembled from
-    the per-component optima.
+    the per-component optima.  `workers` must be at least 1 and is capped
+    at the CPU count.
     """
     if rule not in ("standard", "psd"):
         raise GraphError(f"unknown rule {rule!r}")
+    workers = _pool_size(workers, os.cpu_count())
     _guard(g.n, limit, f"zero_forcing_number({rule})")
     comps = components(g, VertexSet.full(g.n))
     total = 0
@@ -104,6 +109,13 @@ def zero_forcing_number(
         for v in _bits(submask):
             mask |= 1 << idx[v]
     return SearchResult(rule, total, (VertexSet(g.n, mask),), nodes)
+
+
+def _pool_size(workers: int, cpu_count: int | None) -> int:
+    """Worker processes to use for a requested count: 1 .. cpu_count."""
+    if workers < 1:
+        raise GraphError(f"workers must be at least 1, got {workers}")
+    return min(workers, cpu_count or 1)
 
 
 def _component_minimum(sub: Graph, rule: str, workers: int):
@@ -230,24 +242,12 @@ def verify_os_set(g: Graph, s: OsSet) -> OsCheck:
             return OsCheck(False, k, f"witness {w} already placed at step {k}")
         if not g.has_edge(w, v):
             return OsCheck(False, k, f"witness {w} not adjacent to {v}")
-        h_k = _component_mask(g, placed, v)
+        h_k = component_mask(g, placed, v)
         if g.adj[w] & (h_k & ~(1 << v)):
             return OsCheck(
                 False, k, f"witness {w} has another neighbor in the component of {v}"
             )
     return OsCheck(True)
-
-
-def _component_mask(g: Graph, within: int, v: int) -> int:
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & within & ~comp
-        comp |= frontier
-    return comp
 
 
 def os_number_bruteforce(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> int:
@@ -300,7 +300,7 @@ def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
 
 def _os_witness(g: Graph, s: int, v: int):
     """Smallest valid witness for appending v to the set s (v in s), or None."""
-    h = _component_mask(g, s, v) & ~(1 << v)
+    h = component_mask(g, s, v) & ~(1 << v)
     cand = g.adj[v] & ~s
     for w in _bits(cand):
         if g.adj[w] & h == 0:
@@ -317,10 +317,3 @@ def psd_set_from_os(g: Graph, s: OsSet) -> VertexSet:
     if not is_forcing_set(g, result, "psd"):
         raise InvariantViolation("complement of a valid OS-set must psd-force")
     return result
-
-
-def _bits(mask: int):
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        yield v
-        mask &= mask - 1

@@ -76,6 +76,12 @@ def test_exit_code_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_exit_code_bad_workers(capsys):
+    for cmd in ("param", "bounds"):
+        code, _, err = run(capsys, cmd, "--family", "path", "3", "--workers", "0")
+        assert code == 2 and "workers" in err
+
+
 def test_exit_code_size_guard(capsys):
     code, _, err = run(capsys, "param", "--family", "path", "30")
     assert code == 3 and "refused" in err

@@ -2,7 +2,8 @@
 
 The oracle here recomputes derived sets with plain Python sets straight
 from the two rule definitions, one force at a time, independently of the
-batched bitmask kernels.
+batched bitmask kernels.  The compiled twin comes from the `kc` fixture
+(tests/conftest.py), which builds it when it is not installed.
 """
 
 import random
@@ -10,12 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from zforce import Graph
-from zforce.kernels import HAVE_COMPILED
+from zforce import Graph, family, kernels, zero_forcing_number
 from zforce import _kernels_py as kpy
-
-if HAVE_COMPILED:
-    from zforce import _kernels as kc
 
 
 def random_graph(rng, n, p=0.5):
@@ -79,9 +76,8 @@ def test_pure_kernel_matches_oracle(rule):
         assert got == want
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
 class TestCompiledTwin:
-    def test_closures_agree(self):
+    def test_closures_agree(self, kc):
         rng = random.Random(23)
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 14), rng.random())
@@ -91,7 +87,7 @@ class TestCompiledTwin:
             assert kc.closure_psd(g.adj, g.n, mask) == \
                 kpy.closure_psd(g.adj, g.n, mask)
 
-    def test_search_agrees_including_node_counts(self):
+    def test_search_agrees_including_node_counts(self, kc):
         rng = random.Random(29)
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 9), rng.random())
@@ -102,7 +98,7 @@ class TestCompiledTwin:
                 assert kc.all_forcing_lex(g.adj, g.n, k, psd) == \
                     kpy.all_forcing_lex(g.adj, g.n, k, psd)
 
-    def test_chunked_search_agrees(self):
+    def test_chunked_search_agrees(self, kc):
         rng = random.Random(31)
         g = random_graph(rng, 9, 0.4)
         for start in ((0, 1, 2), (2, 4, 8), (0, 5, 6)):
@@ -110,24 +106,65 @@ class TestCompiledTwin:
                 assert kc.first_forcing_lex(g.adj, g.n, 3, False, start, count) \
                     == kpy.first_forcing_lex(g.adj, g.n, 3, False, start, count)
 
-    def test_compiled_rejects_oversized(self):
+    def test_compiled_rejects_oversized(self, kc):
         with pytest.raises(ValueError):
             kc.closure_standard([0] * 65, 65, 0)
+
+    @pytest.mark.parametrize("n, adj", [
+        (0, []),
+        (3, [0b110, 0b101]),  # fewer than n rows
+        (3, [0b110, 0b101, 0b1011]),  # a row past n bits
+        (3, [0b110, 0b101, -1]),
+    ])
+    def test_compiled_rejects_bad_graphs(self, kc, n, adj):
+        for call in (lambda: kc.closure_standard(adj, n, 0),
+                     lambda: kc.closure_psd(adj, n, 0),
+                     lambda: kc.first_forcing_lex(adj, n, 1, False),
+                     lambda: kc.all_forcing_lex(adj, n, 1, True)):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("n, black", [(3, 0b1000), (3, -1), (64, 1 << 64)])
+    def test_compiled_rejects_masks_past_n_bits(self, kc, n, black):
+        adj = family("path", [n]).adj
+        for closure in (kc.closure_standard, kc.closure_psd):
+            with pytest.raises(ValueError):
+                closure(adj, n, black)
+
+
+@pytest.mark.parametrize("start", [(0, 0, 1), (2, 1, 3), (0, 1, 9), (0, 1), (0, 1, 2, 3),
+                                   (-1, 1, 2), (0, 1, 1 << 70)])
+def test_both_twins_reject_bad_start(kc, start):
+    g = random_graph(random.Random(31), 9, 0.4)
+    for mod in (kpy, kc):
+        with pytest.raises(ValueError):
+            mod.first_forcing_lex(g.adj, g.n, 3, False, start, 5)
+
+
+def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch):
+    graphs = [family("pinwheel12"), family("mobius_ladder", [12]),
+              random_graph(random.Random(12), 12, 0.4)]
+    runs = {}
+    for backend in (kc, None):
+        monkeypatch.setattr(kernels, "_c", backend)
+        name = kernels.backend_name(12)
+        runs[name] = [
+            (r.value, r.best, r.nodes_explored)
+            for g in graphs for rule in ("standard", "psd")
+            for r in [zero_forcing_number(g, rule)]
+        ]
+    assert set(runs) == {"compiled", "pure-python"}
+    assert runs["compiled"] == runs["pure-python"]
 
 
 def test_large_orders_use_python_ints():
     # n > 64 falls back to the pure path transparently
-    from zforce import family, zero_forcing_number
-
     g = family("path", [70])
     res = zero_forcing_number(g, "standard", limit=70)
     assert res.value == 1 and res.best.to_list() == [0]
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-def test_single_word_boundary_order_64():
-    from zforce import family
-
+def test_single_word_boundary_order_64(kc):
     g = family("path", [64])
     full = (1 << 64) - 1
     assert kc.closure_standard(g.adj, 64, 1 << 63) == full
@@ -135,6 +172,11 @@ def test_single_word_boundary_order_64():
         kpy.closure_standard(g.adj, 64, 1 << 63)
     c = family("cycle", [64])
     assert kc.closure_psd(c.adj, 64, 0b11) == kpy.closure_psd(c.adj, 64, 0b11) == full
+    # vertices 1..62 each fail and 63 (the top bit) forces the path
+    for mod in (kc, kpy):
+        assert mod.first_forcing_lex(g.adj, 64, 1, False, (1,)) == (1 << 63, 63)
+        assert mod.all_forcing_lex(g.adj, 64, 1, False) == [1, 1 << 63]
+        assert mod.first_forcing_lex(c.adj, 64, 2, True, (62, 63)) == (3 << 62, 1)
 
 
 @pytest.mark.parametrize("rule", ["standard", "psd"])

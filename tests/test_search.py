@@ -125,6 +125,17 @@ class TestZeroForcingNumber:
         par = zero_forcing_number(g, "standard", workers=3)
         assert (seq.value, seq.best) == (par.value, par.best)
 
+    def test_workers_bounded_by_cpu_count(self):
+        pool_size = zforce.search._pool_size
+        assert pool_size(1, 8) == 1
+        assert pool_size(10000, 2) == 2
+        assert pool_size(3, None) == 1
+        for bad in (0, -4):
+            with pytest.raises(GraphError):
+                pool_size(bad, 8)
+            with pytest.raises(GraphError):
+                zero_forcing_number(family("path", [3]), workers=bad)
+
     def test_edgeless_needs_everything(self):
         g = Graph(4, [0, 0, 0, 0])
         assert zero_forcing_number(g).value == 4
