@@ -176,14 +176,14 @@ closure_psd(PyObject *self, PyObject *args)
 static PyObject *
 first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"adj", "n", "k", "psd", "start", "count", "prune", NULL};
+    static char *kwlist[] = {"adj", "n", "k", "psd", "start", "count", NULL};
     PyObject *adj, *start = Py_None;
-    int n, k, psd, prune = 1, comb[MAX_N], nfailed = 0, found = 0;
+    int n, k, psd, comb[MAX_N], nfailed = 0, found = 0;
     long long count = -1, slot = 0, explored = 0;
     u64 rows[MAX_N], failed[CACHE_CAP], full, mask = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oiip|OLp", kwlist, &adj, &n,
-                                     &k, &psd, &start, &count, &prune)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oiip|OL", kwlist, &adj, &n,
+                                     &k, &psd, &start, &count)
         || load_adj(adj, n, k, rows, &full) < 0)
         return NULL;
     for (int i = 0; i < k; i++)
@@ -215,14 +215,14 @@ first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_BEGIN_ALLOW_THREADS
     while (count != 0) {
         mask = comb_mask(comb, k);
-        if (!prune || !covered(mask, failed, nfailed)) {
+        if (!covered(mask, failed, nfailed)) {
             explored++;
             u64 d = close_mask(rows, full, mask, psd);
             if (d == full) {
                 found = 1;
                 break;
             }
-            if (prune && !covered(d, failed, nfailed)) {
+            if (!covered(d, failed, nfailed)) {
                 if (nfailed < CACHE_CAP)
                     failed[nfailed++] = d;
                 else
@@ -276,7 +276,7 @@ static PyMethodDef methods[] = {
      "closure_psd(adj, n, black): fixpoint of the positive semidefinite rule."},
     {"first_forcing_lex", (PyCFunction)(void (*)(void))first_forcing_lex,
      METH_VARARGS | METH_KEYWORDS,
-     "first_forcing_lex(adj, n, k, psd, start=None, count=-1, prune=True)\n"
+     "first_forcing_lex(adj, n, k, psd, start=None, count=-1)\n"
      "-> (mask or None, closures run); see _kernels_py.first_forcing_lex."},
     {"all_forcing_lex", all_forcing_lex, METH_VARARGS,
      "all_forcing_lex(adj, n, k, psd): all forcing k-subsets as masks, in lex order."},

@@ -8,7 +8,7 @@ node counts agree) for n <= 64.
 
 from __future__ import annotations
 
-_PRUNE_CAP = 64
+_CACHE_CAP = 64  # failed closures kept by first_forcing_lex
 
 
 def closure_standard(adj, n: int, black: int) -> int:
@@ -82,7 +82,7 @@ def _advance(c: list[int], n: int, k: int) -> bool:
     return True
 
 
-def first_forcing_lex(adj, n, k, psd, start=None, count=-1, prune=True):
+def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     """First k-subset (in lexicographic order) whose closure is all of V.
 
     Scans `count` combinations starting from `start`, k strictly increasing
@@ -106,22 +106,19 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1, prune=True):
         mask = 0
         for i in c:
             mask |= 1 << i
-        skip = False
-        if prune:
-            for d in failed:
-                if mask & ~d == 0:
-                    skip = True
-                    break
-        if not skip:
+        for d in failed:
+            if mask & ~d == 0:
+                break
+        else:
             explored += 1
             d = closure(adj, n, mask)
             if d == full:
                 return mask, explored
-            if prune and not any(d & ~e == 0 for e in failed):
-                if len(failed) < _PRUNE_CAP:
+            if not any(d & ~e == 0 for e in failed):
+                if len(failed) < _CACHE_CAP:
                     failed.append(d)
                 else:
-                    failed[slot % _PRUNE_CAP] = d
+                    failed[slot % _CACHE_CAP] = d
                     slot += 1
         count -= 1
         if not _advance(c, n, k):

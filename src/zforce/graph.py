@@ -441,6 +441,9 @@ def family(name: str, params: list[int] | tuple[int, ...] = ()) -> Graph:
         builder = _FAMILIES[name]
     except KeyError:
         raise GraphError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+    # no member has a parameter above the order cap; refuse before building edges
+    _need(all(p <= MAX_VERTICES for p in params),
+          f"family parameters must be at most {MAX_VERTICES}")
     try:
         return builder(*params)
     except TypeError:

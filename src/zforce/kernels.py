@@ -33,10 +33,8 @@ def closure(adj, n: int, black: int, rule: str) -> int:
     return impl.closure_standard(adj, n, black)
 
 
-def first_forcing_lex(adj, n, k, rule, start=None, count=-1, prune=True):
-    return _impl(n).first_forcing_lex(
-        adj, n, k, rule == "psd", start, count, prune
-    )
+def first_forcing_lex(adj, n, k, rule, start=None, count=-1):
+    return _impl(n).first_forcing_lex(adj, n, k, rule == "psd", start, count)
 
 
 def all_forcing_lex(adj, n, k, rule):

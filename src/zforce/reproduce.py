@@ -22,7 +22,6 @@ from .graph import Graph, cartesian_product, family
 from .search import (
     all_minimum_zfs,
     min_degree,
-    min_zfs_intersection,
     os_number_bruteforce,
     zero_forcing_number,
 )
@@ -305,7 +304,6 @@ def criterion_tree_clique(max_n=None, workers=1) -> CriterionResult:
         prod = cartesian_product(t, family("complete", [r]))
         zp = zero_forcing_number(prod, "psd").value
         a = build_tree_clique_witness(t, r)
-        s = singular_values(a)
         nullity = a.shape[0] - numeric_rank(a)
         gap = rank_gap(a, a.shape[0] - r)
         ok = (

@@ -1,11 +1,12 @@
 """Exact search for forcing numbers and ordered-set (OS) machinery.
 
-Zero forcing numbers are found by enumerating k-subsets in lexicographic
-order for k = lower bound .. n, so the first hit is an optimum and the
-reported set is the lexicographically smallest optimum.  Disconnected
-graphs are solved per component and summed.  The OS number is computed by
-dynamic programming over reachable vertex subsets and tied to the psd
-forcing number by the duality OS(G) + Z+(G) = |G|.
+Z and Z+ add over connected components, so each component is searched on
+its own, by k-subsets in lexicographic order from a lower bound up: the
+first hit is an optimum and the lexicographically smallest one.  The lower
+bounds follow the chain delta <= Z+ <= Z: the psd scan starts at the
+minimum degree and the standard scan continues from the Z+ value found.
+The OS number is computed by dynamic programming over reachable vertex
+subsets and tied to Z+ by the duality OS(G) + Z+(G) = |G|.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import kernels
@@ -91,23 +93,28 @@ def zero_forcing_number(
 
     The optimum set is the lexicographically smallest one, assembled from
     the per-component optima.  `workers` must be at least 1 and is capped
-    at the CPU count.
+    at the CPU count; the value and the set do not depend on it, but
+    `nodes_explored` does, because each worker's range starts with an empty
+    failed-closure cache.
     """
     if rule not in ("standard", "psd"):
         raise GraphError(f"unknown rule {rule!r}")
     workers = _pool_size(workers, os.cpu_count())
     _guard(g.n, limit, f"zero_forcing_number({rule})")
-    comps = components(g, VertexSet.full(g.n))
-    total = 0
-    mask = 0
-    nodes = 0
-    for comp in comps:
-        sub, idx = induced(g, comp)
-        value, submask, explored = _component_minimum(sub, rule, workers)
-        total += value
-        nodes += explored
-        for v in _bits(submask):
-            mask |= 1 << idx[v]
+    total = mask = nodes = 0
+    # One pool for every component, scan and k; it forks on first use.
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for comp in components(g, VertexSet.full(g.n)):
+            sub, idx = (g, range(g.n)) if len(comp) == g.n else induced(g, comp)
+            value, submask, explored = _first_k(
+                sub, "psd", max(1, min_degree(sub)), workers, pool)
+            if rule == "standard":
+                value, submask, more = _first_k(sub, rule, value, workers, pool)
+                explored += more
+            total += value
+            nodes += explored
+            for v in _bits(submask):
+                mask |= 1 << idx[v]
     return SearchResult(rule, total, (VertexSet(g.n, mask),), nodes)
 
 
@@ -118,42 +125,29 @@ def _pool_size(workers: int, cpu_count: int | None) -> int:
     return min(workers, cpu_count or 1)
 
 
-def _component_minimum(sub: Graph, rule: str, workers: int):
+def _first_k(sub: Graph, rule: str, lb: int, workers: int, pool):
+    """(k, lex-first forcing mask, closures run) for the smallest k >= lb.
+
+    With a pool, subset spaces of at least _PARALLEL_MIN_WORK are split into
+    one contiguous lexicographic range per worker.
+    """
     n = sub.n
     nodes = 0
-    if rule == "psd":
-        lb = max(1, min_degree(sub))
-    else:
-        pre = zero_forcing_number(sub, "psd", limit=n, workers=workers)
-        lb = max(1, pre.value)
-        nodes = pre.nodes_explored
     for k in range(lb, n + 1):
-        found, explored = _search_cardinality(sub, k, rule, workers)
-        nodes += explored
-        if found is not None:
-            return k, found, nodes
+        total = math.comb(n, k)
+        if pool is None or total < _PARALLEL_MIN_WORK:
+            results = [kernels.first_forcing_lex(sub.adj, n, k, rule)]
+        else:
+            chunk = (total + workers - 1) // workers
+            results = list(pool.map(_chunk_worker, [
+                (sub.adj, n, k, rule, _unrank(n, k, lo), min(chunk, total - lo))
+                for lo in range(0, total, chunk)
+            ]))
+        nodes += sum(explored for _, explored in results)
+        for found, _ in results:  # ranges are in lex order; first hit is lex-min
+            if found is not None:
+                return k, found, nodes
     raise InvariantViolation("V itself must always be a forcing set")
-
-
-def _search_cardinality(sub: Graph, k: int, rule: str, workers: int):
-    total = math.comb(sub.n, k)
-    if workers <= 1 or total < _PARALLEL_MIN_WORK:
-        return kernels.first_forcing_lex(sub.adj, sub.n, k, rule)
-    chunk = (total + workers - 1) // workers
-    tasks = []
-    for w in range(workers):
-        lo = w * chunk
-        if lo >= total:
-            break
-        tasks.append((sub.adj, sub.n, k, rule, _unrank(sub.n, k, lo),
-                      min(chunk, total - lo)))
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        results = list(pool.map(_chunk_worker, tasks))
-    nodes = sum(r[1] for r in results)
-    for mask, _ in results:  # chunks are in lex order; first hit is lex-min
-        if mask is not None:
-            return mask, nodes
-    return None, nodes
 
 
 def _chunk_worker(args):

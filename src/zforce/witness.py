@@ -14,7 +14,7 @@ from random import Random
 
 import numpy as np
 
-from .graph import Graph, cartesian_product, complete_graph
+from .graph import MAX_VERTICES, Graph, SizeLimitError, cartesian_product, complete_graph
 
 RANK_TOL = 1e-8       # relative singular value threshold
 PATTERN_TOL = 1e-9    # relative to the largest entry magnitude
@@ -134,6 +134,8 @@ def build_tree_clique_witness(
         raise ValueError("need a tree of order at least 2")
     if t.num_edges() != t.n - 1 or not t.is_connected():
         raise ValueError("input graph is not a tree")
+    if t.n * r > MAX_VERTICES:
+        raise SizeLimitError(f"product order {t.n * r} exceeds {MAX_VERTICES}")
     schedule = list(alpha_schedule or DEFAULT_ALPHA_SCHEDULE)
     rng = Random(1729)
     schedule += [rng.uniform(0.01, 1.0) for _ in range(20)]

@@ -87,6 +87,17 @@ def test_exit_code_size_guard(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_exit_code_huge_family_parameter(capsys):
+    code, _, err = run(capsys, "param", "--family", "complete", "1000000")
+    assert code == 2 and "at most 128" in err
+
+
+def test_exit_code_huge_tree_clique_witness(capsys):
+    code, _, err = run(capsys, "witness", "tree-clique", "--tree-family", "path",
+                       "2", "--r", "1000000")
+    assert code == 3 and "refused" in err
+
+
 def test_exit_code_witness_degenerate(capsys):
     code, _, err = run(capsys, "witness", "h43", "--a15-6", "0")
     assert code == 2 and "nonzero" in err

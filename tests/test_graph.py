@@ -96,6 +96,22 @@ class TestFamilies:
         with pytest.raises(GraphError):
             family("cycle", [5, 7])
 
+    def test_huge_parameters_refused_before_building(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            pytest.fail("family built an edge list for an out-of-range parameter")
+
+        monkeypatch.setattr(Graph, "from_edges", no_build)
+        big = 10**6
+        cases = [
+            ("path", [big]), ("cycle", [big]), ("complete", [big]),
+            ("complete_bipartite", [big, 1]), ("complete_bipartite", [1, big]),
+            ("star", [big]), ("book", [big, 4]), ("book", [2, big]),
+            ("mobius_ladder", [big]), ("four_hub_wheel", [big]),
+        ]
+        for name, params in cases:
+            with pytest.raises(GraphError):
+                family(name, params)
+
     def test_four_hub_wheel_shape(self):
         g = family("four_hub_wheel", [3])
         assert g.n == 16

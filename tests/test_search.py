@@ -35,6 +35,22 @@ def random_graph(rng, n, p=0.5):
     return Graph.from_edges(n, edges)
 
 
+def disjoint_union(*graphs):
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    return Graph.from_edges(off, edges)
+
+
+PINNED_GRAPHS = {
+    "pinwheel12": family("pinwheel12"),
+    "ML12": family("mobius_ladder", [12]),
+    "ML8+K1,3+K1": disjoint_union(
+        family("mobius_ladder", [8]), family("star", [3]), family("path", [1])),
+}
+
+
 def oracle_forcing_number(g, rule):
     """Independent exact minimum: sweep all subsets by cardinality."""
     full = set(range(g.n))
@@ -89,10 +105,7 @@ class TestZeroForcingNumber:
         for _ in range(10):
             a = random_graph(rng, rng.randint(1, 5))
             b = random_graph(rng, rng.randint(1, 5))
-            merged = Graph.from_edges(
-                a.n + b.n,
-                a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()],
-            )
+            merged = disjoint_union(a, b)
             assert zero_forcing_number(merged, rule).value == \
                 zero_forcing_number(a, rule).value + zero_forcing_number(b, rule).value
 
@@ -102,10 +115,7 @@ class TestZeroForcingNumber:
         for _ in range(10):
             a = random_graph(rng, rng.randint(1, 4))
             b = random_graph(rng, rng.randint(1, 4))
-            g = Graph.from_edges(
-                a.n + b.n,
-                a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()],
-            )
+            g = disjoint_union(a, b)
             res = zero_forcing_number(g)
             first = next(
                 s for s in combinations(range(g.n), res.value)
@@ -124,6 +134,48 @@ class TestZeroForcingNumber:
         seq = zero_forcing_number(g, "standard", workers=1)
         par = zero_forcing_number(g, "standard", workers=3)
         assert (seq.value, seq.best) == (par.value, par.best)
+
+    @pytest.mark.parametrize("name,rule,value,best,nodes", [
+        # pinwheel12 and ML12 as in perfbench/golden.json
+        ("pinwheel12", "psd", 3, [0, 1, 5], 41),
+        ("pinwheel12", "standard", 4, [0, 1, 5, 7], 130),
+        ("ML12", "psd", 4, [0, 1, 2, 3], 190),
+        ("ML12", "standard", 4, [0, 1, 2, 3], 191),
+        ("ML8+K1,3+K1", "psd", 6, [0, 1, 2, 3, 8, 12], 35),
+        ("ML8+K1,3+K1", "standard", 7, [0, 1, 2, 3, 9, 10, 12], 45),
+    ])
+    def test_pinned_outputs(self, name, rule, value, best, nodes):
+        res = zero_forcing_number(PINNED_GRAPHS[name], rule)
+        assert (res.value, res.best.to_list(), res.nodes_explored) == \
+            (value, best, nodes)
+
+    def test_one_pool_per_call(self, monkeypatch):
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(zforce.search, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
+        monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 4)
+        g = disjoint_union(family("mobius_ladder", [8]), family("star", [3]))
+        res = zero_forcing_number(g, "standard", workers=2)
+        assert built == [2]
+        # a real two-process pool gives this value, set and node count too
+        assert (res.value, res.best.to_list(), res.nodes_explored) == \
+            (6, [0, 1, 2, 3, 9, 10], 50)
+        zero_forcing_number(g, "standard", workers=1)
+        assert built == [2]
 
     def test_workers_bounded_by_cpu_count(self):
         pool_size = zforce.search._pool_size
@@ -261,10 +313,7 @@ class TestOsSets:
         for _ in range(10):
             a = random_graph(rng, rng.randint(1, 4))
             b = random_graph(rng, rng.randint(1, 4))
-            g = Graph.from_edges(
-                a.n + b.n,
-                a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()],
-            )
+            g = disjoint_union(a, b)
             zp = zero_forcing_number(g, "psd").value
             assert os_number_bruteforce(g) + zp == g.n
             s = os_from_psd_set(g, zero_forcing_number(g, "psd").best)
