@@ -3,6 +3,9 @@
 These pin down the maximum positive semidefinite nullity M+ between
 n - cc(G) from below and Z+(G) from above; neither M+ nor any minimum rank
 parameter is computed directly.  Witnesses are returned and re-verified.
+
+The path cover number is a memoised DP over vertex masks whose candidate
+paths, per lowest vertex of a mask, are enumerated once per graph.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graph import Graph, InvariantViolation, SizeLimitError, _bits
-from .search import min_degree, zero_forcing_number
+from .search import DEFAULT_SEARCH_LIMIT, min_degree, zero_forcing_number
 
 DEFAULT_PATH_COVER_LIMIT = 16
 DEFAULT_CLIQUE_EDGE_LIMIT = 40
@@ -62,59 +65,57 @@ class BoundsReport:
 
 
 def path_cover_number(g: Graph, *, limit: int = DEFAULT_PATH_COVER_LIMIT) -> PathCover:
-    """Minimum number of vertex-disjoint induced paths covering V, with witness."""
+    """Minimum number of vertex-disjoint induced paths covering V, with witness.
+
+    DP over vertex masks s: the lowest vertex v of s lies on a path of
+    paths[v] (the induced paths through v in the vertices >= v) inside s.
+    """
     if g.n > limit:
         raise SizeLimitError(f"path cover refused for n={g.n} > limit {limit}")
-    adj = g.adj
-    full = (1 << g.n) - 1
+    paths = [_induced_paths_from(g.adj, v) for v in range(g.n)]
 
     @lru_cache(maxsize=None)
     def solve(s: int) -> tuple[int, tuple[int, ...]]:
         """(cover size, first chosen path) for the vertex mask s."""
         if s == 0:
             return 0, ()
-        v = (s & -s).bit_length() - 1
         best = None
-        for pmask, order in _induced_paths_through(adj, s, v):
-            sub, _ = solve(s & ~pmask)
-            if best is None or sub + 1 < best[0]:
-                best = (sub + 1, order)
+        for pmask, order in paths[(s & -s).bit_length() - 1]:
+            if not pmask & ~s:
+                size = solve(s & ~pmask)[0] + 1
+                if best is None or size < best[0]:
+                    best = (size, order)
         return best
 
-    cover = []
-    s = full
+    cover, s = [], (1 << g.n) - 1
+    number = solve(s)[0]
     while s:
         _, order = solve(s)
         cover.append(order)
-        for v in order:
-            s &= ~(1 << v)
-    number = solve(full)[0]
+        s &= ~sum(1 << v for v in order)
     if len(cover) != number:
         raise InvariantViolation("path cover witness length differs from optimum")
     _check_path_cover(g, cover)
     return PathCover(number, tuple(cover))
 
 
-def _induced_paths_through(adj, s: int, v: int):
-    """All induced paths inside mask s that contain v, as (mask, order)."""
-    start = (1 << v, (v,))
-    seen = {(1 << v, v, v)}
-    stack = [start]
+def _induced_paths_from(adj, v: int):
+    """All induced paths through v inside the vertices >= v, as (mask, order)."""
+    seen = {1 << v}  # a vertex set fixes an induced path's endpoints
+    stack = [(1 << v, (v,))]
     out = []
     while stack:
         pmask, order = stack.pop()
         out.append((pmask, order))
         for end, extend_front in ((order[0], True), (order[-1], False)):
-            cand = adj[end] & s & ~pmask
-            for u in _bits(cand):
+            for u in _bits(adj[end] & -(1 << v) & ~pmask):
                 if adj[u] & pmask != 1 << end:
                     continue  # chord: extension would not stay induced
+                nmask = pmask | 1 << u
                 norder = (u,) + order if extend_front else order + (u,)
-                key = (pmask | 1 << u, min(norder[0], norder[-1]),
-                       max(norder[0], norder[-1]))
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((pmask | 1 << u, norder))
+                if nmask not in seen:
+                    seen.add(nmask)
+                    stack.append((nmask, norder))
     return out
 
 
@@ -225,9 +226,7 @@ def _check_clique_cover(g: Graph, cover):
 def bounds_report(
     g: Graph,
     *,
-    search_limit: int = 24,
-    path_limit: int = DEFAULT_PATH_COVER_LIMIT,
-    edge_limit: int = DEFAULT_CLIQUE_EDGE_LIMIT,
+    search_limit: int = DEFAULT_SEARCH_LIMIT,
     workers: int = 1,
 ) -> BoundsReport:
     """Assemble the bound chain n - cc <= Z+ <= Z, P <= Z, delta <= Z+.
@@ -238,8 +237,8 @@ def bounds_report(
     delta = min_degree(g)
     z = zero_forcing_number(g, "standard", limit=search_limit, workers=workers).value
     zplus = zero_forcing_number(g, "psd", limit=search_limit, workers=workers).value
-    pc = path_cover_number(g, limit=path_limit).number
-    cc = clique_cover_number(g, edge_limit=edge_limit).number
+    pc = path_cover_number(g).number
+    cc = clique_cover_number(g).number
     lower = g.n - cc
     checks = (
         (lower <= zplus, "n - cc <= Z+"),

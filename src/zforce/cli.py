@@ -28,6 +28,9 @@ from .graph import (
     write_graph6,
 )
 from .search import (
+    DEFAULT_ALL_MIN_LIMIT,
+    DEFAULT_OS_LIMIT,
+    DEFAULT_SEARCH_LIMIT,
     all_minimum_zfs,
     maximum_os_set,
     zero_forcing_number,
@@ -97,19 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the canonical force list of the optimum set")
     p.add_argument("--json", action="store_true")
     p.add_argument("--search-limit", type=int, default=None,
-                   help="override the exact-search guard (24; 12 for --all-min)")
+                   help=f"override the exact-search guard ({DEFAULT_SEARCH_LIMIT}; "
+                        f"{DEFAULT_ALL_MIN_LIMIT} for --all-min)")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("bounds", help="path cover, clique cover, nullity bounds")
     _add_input_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--search-limit", type=int, default=24)
+    p.add_argument("--search-limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("os", help="OS number and a maximum OS-set")
     _add_input_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--search-limit", type=int, default=8)
+    p.add_argument("--search-limit", type=int, default=DEFAULT_OS_LIMIT)
 
     p = sub.add_parser("witness", help="numeric matrix witnesses")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
@@ -145,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_param(args) -> int:
     g = _load_graph(args)
-    limit = args.search_limit if args.search_limit is not None else 24
-    all_min_limit = args.search_limit if args.search_limit is not None else 12
+    limit = args.search_limit if args.search_limit is not None else DEFAULT_SEARCH_LIMIT
+    all_min_limit = (args.search_limit if args.search_limit is not None
+                     else DEFAULT_ALL_MIN_LIMIT)
     res = zero_forcing_number(g, args.rule, limit=limit, workers=args.workers)
     sets = (all_minimum_zfs(g, args.rule, limit=all_min_limit)
             if args.all_min else list(res.sets))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
@@ -73,25 +74,20 @@ def _from_networkx(nxg) -> Graph:
     )
 
 
-_ATLAS_CACHE: dict[int, list[Graph]] = {}
+@lru_cache(maxsize=1)
+def _connected_atlas() -> tuple[Graph, ...]:
+    """The connected graphs of the networkx atlas (orders 1..7), in atlas order."""
+    from networkx.generators.atlas import graph_atlas_g
+
+    graphs = (_from_networkx(nxg) for nxg in graph_atlas_g() if nxg.number_of_nodes())
+    return tuple(g for g in graphs if g.is_connected())
 
 
 def connected_graphs_upto(max_n: int) -> list[Graph]:
     """All connected graphs with 1 <= n <= max_n, one per isomorphism class."""
     if max_n > 7:
         raise ValueError("the atlas covers orders up to 7")
-    if max_n not in _ATLAS_CACHE:
-        from networkx.generators.atlas import graph_atlas_g
-
-        out = []
-        for nxg in graph_atlas_g():
-            n = nxg.number_of_nodes()
-            if 1 <= n <= max_n:
-                g = _from_networkx(nxg)
-                if g.is_connected():
-                    out.append(g)
-        _ATLAS_CACHE[max_n] = out
-    return _ATLAS_CACHE[max_n]
+    return [g for g in _connected_atlas() if g.n <= max_n]
 
 
 def all_trees_upto(max_n: int) -> list[Graph]:
@@ -180,7 +176,7 @@ def criterion_trees(max_n=None, workers=1) -> CriterionResult:
 
 def criterion_duality(max_n=None, workers=1) -> CriterionResult:
     hi = max_n or 8
-    graphs = list(connected_graphs_upto(min(hi, 6)))
+    graphs = connected_graphs_upto(min(hi, 6))
     exhaustive = len(graphs)
     sampled = 0
     if hi >= 7:
@@ -240,7 +236,7 @@ def criterion_intersection(max_n=None, workers=1) -> CriterionResult:
 
 def criterion_sandwich(max_n=None, workers=1) -> CriterionResult:
     hi = min(max_n or 7, 7)
-    graphs = list(connected_graphs_upto(hi))
+    graphs = connected_graphs_upto(hi)
     if (max_n or 8) >= 7:
         orders = [n for n in (7, 8) if n <= (max_n or 8)]
         if orders:

@@ -99,7 +99,7 @@ def zero_forcing_number(
     """
     if rule not in ("standard", "psd"):
         raise GraphError(f"unknown rule {rule!r}")
-    workers = _pool_size(workers, os.cpu_count())
+    workers = _pool_size(workers, os.cpu_count() if workers > 1 else 1)
     _guard(g.n, limit, f"zero_forcing_number({rule})")
     total = mask = nodes = 0
     # One pool for every component, scan and k; it forks on first use.

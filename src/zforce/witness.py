@@ -75,14 +75,9 @@ def pattern_matches(a: np.ndarray, g: Graph, tol: float = PATTERN_TOL) -> Patter
     if a.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {a.shape} does not match order {g.n}")
     thresh = tol * max(np.abs(a).max(), 1e-300)
-    for i in range(g.n):
-        for j in range(g.n):
-            if i == j:
-                continue
-            nz = abs(a[i, j]) > thresh
-            if nz != g.has_edge(i, j):
-                return PatternCheck(False, (i, j), tol)
-    return PatternCheck(True, None, tol)
+    pattern = np.array([[r >> j & 1 for j in range(g.n)] for r in g.adj], dtype=bool)
+    np.fill_diagonal(pattern, np.abs(np.diag(a)) > thresh)  # so the diagonal matches
+    return support_matches(a, pattern, tol)
 
 
 def support_matches(a: np.ndarray, pattern: np.ndarray,

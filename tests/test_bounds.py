@@ -9,11 +9,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+import zforce.bounds
 from zforce import (
     Graph,
     InvariantViolation,
     SizeLimitError,
     bounds_report,
+    cartesian_product,
     clique_cover_number,
     family,
     maximal_cliques,
@@ -95,6 +97,36 @@ class TestPathCover:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             path_cover_number(family("path", [17]))
+
+    def test_pinned_witnesses(self):
+        p2 = family("path", [2])
+        cases = [
+            (family("pinwheel12"), ((11, 3, 0, 1), (6, 4, 2), (10, 9, 5, 8, 7))),
+            (family("mobius_ladder", [8]), ((6, 7, 0, 4), (5, 1, 2, 3))),
+            (cartesian_product(cartesian_product(p2, p2), p2),
+             ((4, 0, 2, 3), (6, 7, 5, 1))),
+            (cartesian_product(family("cycle", [4]), family("path", [3])),
+             ((9, 0, 3, 4, 5, 8, 11), (6, 7, 10, 1, 2))),
+            (family("book", [3, 4]), ((6, 0, 4, 5), (7, 1, 3, 2))),
+        ]
+        for g, paths in cases:
+            res = path_cover_number(g)
+            assert (res.number, res.paths) == (len(paths), paths)
+
+    def test_paths_enumerated_once_per_vertex(self, monkeypatch):
+        calls = []
+        enumerate_paths = zforce.bounds._induced_paths_from
+
+        def counted(adj, v):
+            calls.append(v)
+            return enumerate_paths(adj, v)
+
+        monkeypatch.setattr(zforce.bounds, "_induced_paths_from", counted)
+        for g in (family("pinwheel12"),
+                  cartesian_product(family("cycle", [4]), family("path", [3]))):
+            calls.clear()
+            path_cover_number(g)
+            assert len(calls) <= g.n
 
 
 class TestCliqueCover:

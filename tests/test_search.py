@@ -188,6 +188,16 @@ class TestZeroForcingNumber:
             with pytest.raises(GraphError):
                 zero_forcing_number(family("path", [3]), workers=bad)
 
+    def test_serial_call_does_not_read_cpu_count(self, monkeypatch):
+        def no_cpu_count():
+            raise AssertionError("os.cpu_count read for a serial search")
+
+        monkeypatch.setattr(zforce.search.os, "cpu_count", no_cpu_count)
+        res = zero_forcing_number(family("pinwheel12"), workers=1)
+        assert res.value == 4
+        with pytest.raises(GraphError):
+            zero_forcing_number(family("path", [3]), workers=0)
+
     def test_edgeless_needs_everything(self):
         g = Graph(4, [0, 0, 0, 0])
         assert zero_forcing_number(g).value == 4

@@ -7,6 +7,7 @@ import pytest
 
 from zforce import (
     DegenerateParameters,
+    Graph,
     build_h43_witness,
     build_tree_clique_witness,
     cartesian_product,
@@ -27,6 +28,7 @@ from zforce.witness import (
     H43_ROW_VERTICES,
     H43_SUPPORT,
     OMEGA,
+    PATTERN_TOL,
 )
 
 
@@ -76,6 +78,22 @@ class TestPatternChecks:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             pattern_matches(np.eye(3), family("path", [4]))
+
+    def test_pattern_matches_entrywise_definition(self):
+        """First off-diagonal (i, j) in row-major order whose nonzero-ness
+        differs from adjacency; the diagonal never counts."""
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            g = Graph.from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                    if rng.random() < 0.5])
+            a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6)
+            thresh = PATTERN_TOL * max(np.abs(a).max(), 1e-300)
+            first = next(((i, j) for i in range(n) for j in range(n) if i != j
+                          and (abs(a[i, j]) > thresh) != g.has_edge(i, j)), None)
+            check = pattern_matches(a, g)
+            assert (check.ok, check.first_mismatch) == (first is None, first)
 
 
 class TestIsPsd:
