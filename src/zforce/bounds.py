@@ -104,14 +104,19 @@ def _induced_paths_from(adj, v: int):
     seen = {1 << v}  # a vertex set fixes an induced path's endpoints
     stack = [(1 << v, (v,))]
     out = []
+    above = -(1 << v)
     while stack:
         pmask, order = stack.pop()
         out.append((pmask, order))
         for end, extend_front in ((order[0], True), (order[-1], False)):
-            for u in _bits(adj[end] & -(1 << v) & ~pmask):
+            ext = adj[end] & above & ~pmask
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                u = low.bit_length() - 1
                 if adj[u] & pmask != 1 << end:
                     continue  # chord: extension would not stay induced
-                nmask = pmask | 1 << u
+                nmask = pmask | low
                 norder = (u,) + order if extend_front else order + (u,)
                 if nmask not in seen:
                     seen.add(nmask)

@@ -365,8 +365,10 @@ def component_mask(g: Graph, within: int, v: int) -> int:
     frontier = comp
     while frontier:
         nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adj[u]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= g.adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & within & ~comp
         comp |= frontier
     return comp

@@ -254,36 +254,42 @@ def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
 
     A subset S is OS-orderable iff some v in S admits an outside witness
     against the component of v in G[S] and S - v is OS-orderable; that
-    criterion depends only on the set, so subsets are processed once.
+    criterion depends only on the set, so subsets are processed once.  Layer
+    k holds only the sets one vertex larger than an OS-orderable set of
+    size k - 1; each keeps the first v, ascending, that works.
     """
     _guard(g.n, limit, "os_number_bruteforce")
-    n = g.n
+    full = (1 << g.n) - 1
     parent: dict[int, tuple[int, int] | None] = {0: None}
-    layers = [[] for _ in range(n + 1)]
-    for m in range(1 << n):
-        layers[m.bit_count()].append(m)
-    best = 0
-    for size in range(1, n + 1):
-        found_any = False
-        for s in layers[size]:
-            hit = None
-            for v in _bits(s):
-                if s & ~(1 << v) not in parent:
+    layer = [0]
+    while True:
+        cands = set()
+        for t in layer:
+            out = full & ~t
+            while out:
+                low = out & -out
+                cands.add(t | low)
+                out ^= low
+        reached = []
+        for s in cands:
+            rest = s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if s ^ low not in parent:
                     continue
+                v = low.bit_length() - 1
                 w = _os_witness(g, s, v)
                 if w is not None:
-                    hit = (v, w)
+                    parent[s] = (v, w)
+                    reached.append(s)
                     break
-            if hit is not None:
-                parent[s] = hit
-                found_any = True
-                best = size
-        if not found_any:
+        if not reached:
             break
-    target = min(m for m in parent if m.bit_count() == best)
+        layer = reached
     order: list[int] = []
     wits: list[int] = []
-    s = target
+    s = min(layer)
     while s:
         v, w = parent[s]
         order.append(v)
@@ -293,12 +299,30 @@ def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
 
 
 def _os_witness(g: Graph, s: int, v: int):
-    """Smallest valid witness for appending v to the set s (v in s), or None."""
-    h = component_mask(g, s, v) & ~(1 << v)
-    cand = g.adj[v] & ~s
-    for w in _bits(cand):
-        if g.adj[w] & h == 0:
-            return w
+    """Smallest valid witness for appending v to the set s (v in s), or None.
+
+    A candidate w outside s is valid iff no neighbour of w in s - v lies in
+    the component of v in G[s].  A w with a neighbour of v among those is
+    rejected at once, and a w with none of them is accepted at once; only
+    the other candidates need the component, found at most once per call.
+    """
+    adj = g.adj
+    inside = s & ~(1 << v)
+    comp = None
+    cand = adj[v] & ~s
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        w = low.bit_length() - 1
+        other = adj[w] & inside
+        if other & adj[v]:
+            continue
+        if other:
+            if comp is None:
+                comp = component_mask(g, s, v)
+            if other & comp:
+                continue
+        return w
     return None
 
 

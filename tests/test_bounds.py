@@ -22,6 +22,7 @@ from zforce import (
     path_cover_number,
     zero_forcing_number,
 )
+from zforce.reproduce import connected_graphs_upto
 
 
 def random_graph(rng, n, p=0.5):
@@ -73,6 +74,57 @@ def oracle_clique_cover(g):
     raise AssertionError
 
 
+def reference_paths_from(g, v):
+    """Induced paths through v in the vertices >= v, as (mask, order), in
+    table order: a depth-first stack that extends the front end, then the
+    back end, of each popped path by ascending vertex."""
+    seen = {1 << v}
+    stack = [(1 << v, (v,))]
+    out = []
+    while stack:
+        pmask, order = stack.pop()
+        out.append((pmask, order))
+        for end, front in ((order[0], True), (order[-1], False)):
+            for u in range(v + 1, g.n):
+                if (pmask >> u) & 1 or not g.has_edge(end, u):
+                    continue
+                if any(g.has_edge(u, x) for x in order if x != end):
+                    continue
+                nmask = pmask | 1 << u
+                if nmask not in seen:
+                    seen.add(nmask)
+                    stack.append((nmask, (u,) + order if front else order + (u,)))
+    return out
+
+
+def reference_path_cover(g):
+    """Unpruned path cover DP over the reference path tables.
+
+    Every path of the lowest vertex's table that fits is tried, and the
+    first one in table order that reaches the optimum is kept.
+    """
+    paths = [reference_paths_from(g, v) for v in range(g.n)]
+    memo = {0: (0, ())}
+
+    def solve(s):
+        if s not in memo:
+            best = None
+            for pmask, order in paths[(s & -s).bit_length() - 1]:
+                if not pmask & ~s:
+                    size = solve(s & ~pmask)[0] + 1
+                    if best is None or size < best[0]:
+                        best = (size, order)
+            memo[s] = best
+        return memo[s]
+
+    cover, s = [], (1 << g.n) - 1
+    while s:
+        order = solve(s)[1]
+        cover.append(order)
+        s &= ~sum(1 << v for v in order)
+    return len(cover), tuple(cover)
+
+
 class TestPathCover:
     def test_examples(self):
         assert path_cover_number(family("pinwheel12")).number == 3
@@ -112,6 +164,16 @@ class TestPathCover:
         for g, paths in cases:
             res = path_cover_number(g)
             assert (res.number, res.paths) == (len(paths), paths)
+
+    def test_matches_unpruned_reference(self):
+        rng = random.Random(61)
+        graphs = connected_graphs_upto(6) + [
+            random_graph(rng, rng.randint(7, 11), rng.choice([0.25, 0.4, 0.6]))
+            for _ in range(40)
+        ]
+        for g in graphs:
+            res = path_cover_number(g)
+            assert (res.number, res.paths) == reference_path_cover(g)
 
     def test_paths_enumerated_once_per_vertex(self, monkeypatch):
         calls = []

@@ -17,6 +17,7 @@ from zforce import (
     SizeLimitError,
     VertexSet,
     all_minimum_zfs,
+    cartesian_product,
     family,
     is_forcing_set,
     maximum_os_set,
@@ -27,6 +28,7 @@ from zforce import (
     verify_os_set,
     zero_forcing_number,
 )
+from zforce.reproduce import connected_graphs_upto
 from test_kernels import oracle_closure
 
 
@@ -49,6 +51,54 @@ PINNED_GRAPHS = {
     "ML8+K1,3+K1": disjoint_union(
         family("mobius_ladder", [8]), family("star", [3]), family("path", [1])),
 }
+
+
+def reference_os_set(g):
+    """Unpruned OS DP: every mask, layer by layer, with a full BFS per probe.
+
+    A mask keeps the first v, ascending, whose smallest outside neighbour w
+    has no neighbour in the rest of v's component; the answer is the
+    smallest mask of the last non-empty layer.
+    """
+    n = g.n
+
+    def component(s, v):
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for x in range(n):
+                if (s >> x) & 1 and g.has_edge(u, x) and x not in seen:
+                    seen.add(x)
+                    todo.append(x)
+        return seen
+
+    parent, best = {0: None}, 0
+    for size in range(1, n + 1):
+        found = False
+        for s in range(1 << n):
+            if s.bit_count() != size:
+                continue
+            for v in range(n):
+                if not (s >> v) & 1 or s & ~(1 << v) not in parent:
+                    continue
+                h = component(s, v) - {v}
+                w = next((w for w in range(n) if not (s >> w) & 1
+                          and g.has_edge(v, w)
+                          and not any(g.has_edge(w, u) for u in h)), None)
+                if w is not None:
+                    parent[s] = (v, w)
+                    found, best = True, size
+                    break
+        if not found:
+            break
+    s = min(m for m in parent if m.bit_count() == best)
+    order, wits = [], []
+    while s:
+        v, w = parent[s]
+        order.insert(0, v)
+        wits.insert(0, w)
+        s &= ~(1 << v)
+    return tuple(order), tuple(wits)
 
 
 def oracle_forcing_number(g, rule):
@@ -294,6 +344,45 @@ class TestOsSets:
         g = family("mobius_ladder", [8])
         s = maximum_os_set(g)
         assert len(s) == 4 and verify_os_set(g, s)
+
+    def test_maximum_os_set_matches_unpruned_reference(self):
+        rng = random.Random(67)
+        graphs = connected_graphs_upto(6) + [
+            random_graph(rng, rng.randint(7, 8), rng.choice([0.25, 0.4, 0.6]))
+            for _ in range(40)
+        ]
+        for g in graphs:
+            s = maximum_os_set(g)
+            assert (s.order, s.witnesses) == reference_os_set(g)
+
+    def test_pinned_os_witnesses(self):
+        p2 = family("path", [2])
+        cases = [
+            (family("mobius_ladder", [8]), (3, 2, 0, 1), (2, 1, 1, 5)),
+            (cartesian_product(cartesian_product(p2, p2), p2),
+             (3, 2, 1, 0), (1, 0, 5, 4)),
+            (family("cycle", [7]), (4, 3, 2, 1, 0), (3, 2, 1, 0, 6)),
+            (family("complete", [1]), (), ()),
+        ]
+        for g, order, wits in cases:
+            s = maximum_os_set(g)
+            assert (s.order, s.witnesses) == (order, wits)
+
+    def test_os_component_searches_bounded(self, monkeypatch):
+        calls = []
+        component_mask = zforce.search.component_mask
+
+        def counted(g, within, v):
+            calls.append(v)
+            return component_mask(g, within, v)
+
+        monkeypatch.setattr(zforce.search, "component_mask", counted)
+        p2 = family("path", [2])
+        for g, most in ((family("mobius_ladder", [8]), 333),
+                        (cartesian_product(cartesian_product(p2, p2), p2), 324)):
+            calls.clear()
+            maximum_os_set(g)
+            assert len(calls) <= most
 
     def test_psd_set_from_os(self):
         t = family("star", [4])
