@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graph import Graph, InvariantViolation, SizeLimitError, _bits
-from .search import DEFAULT_SEARCH_LIMIT, min_degree, zero_forcing_number
+from .search import min_degree, zero_forcing_number
 
 DEFAULT_PATH_COVER_LIMIT = 16
 DEFAULT_CLIQUE_EDGE_LIMIT = 40
@@ -150,29 +150,25 @@ def clique_cover_number(
     """Minimum number of cliques covering every edge, with witness.
 
     Exact set cover over maximal cliques (restriction to maximal cliques
-    loses nothing for edge covers).  The edgeless graph needs 0 cliques.
+    loses nothing for edge covers).  Edge {u < v} is bit u*n + v of an edge
+    mask, so the lowest uncovered bit is the lexicographically first
+    uncovered edge.  The edgeless graph needs 0 cliques.
     """
-    edges = g.edges()
-    if len(edges) > edge_limit:
+    n = g.n
+    full = _edge_mask(n, g.adj)
+    edges = full.bit_count()
+    if edges > edge_limit:
         raise SizeLimitError(
-            f"clique cover refused for {len(edges)} edges > limit {edge_limit}"
+            f"clique cover refused for {edges} edges > limit {edge_limit}"
         )
     if not edges:
         return CliqueCover(0, ())
     cliques = maximal_cliques(g)
     edge_sets = []
     for c in cliques:
-        es = 0
-        for i, u in enumerate(c):
-            for v in c[i + 1:]:
-                es |= 1 << _edge_index(edges, u, v)
-        edge_sets.append(es)
-    full = (1 << len(edges)) - 1
-    covering = [
-        [i for i, es in enumerate(edge_sets) if (es >> e) & 1]
-        for e in range(len(edges))
-    ]
-    best: list = [len(edges) + 1, None]
+        cmask = sum(1 << v for v in c)
+        edge_sets.append(_edge_mask(n, [cmask if v in c else 0 for v in range(n)]))
+    best: list = [edges + 1, None]
 
     def descend(uncovered: int, used: tuple[int, ...]):
         if not uncovered:
@@ -180,9 +176,10 @@ def clique_cover_number(
             return
         if len(used) + 1 >= best[0]:
             return
-        e = (uncovered & -uncovered).bit_length() - 1
-        for ci in covering[e]:
-            descend(uncovered & ~edge_sets[ci], used + (ci,))
+        e = uncovered & -uncovered
+        for ci, es in enumerate(edge_sets):
+            if es & e:
+                descend(uncovered & ~es, used + (ci,))
 
     descend(full, ())
     witness = tuple(cliques[i] for i in best[1])
@@ -190,8 +187,12 @@ def clique_cover_number(
     return CliqueCover(best[0], witness)
 
 
-def _edge_index(edges, u, v) -> int:
-    return edges.index((min(u, v), max(u, v)))
+def _edge_mask(n: int, rows) -> int:
+    """Edges {u < v} with v in rows[u], as bits u*n + v."""
+    mask = 0
+    for u, row in enumerate(rows):
+        mask |= (row >> (u + 1)) << (u * n + u + 1)
+    return mask
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -228,22 +229,20 @@ def _check_clique_cover(g: Graph, cover):
         raise InvariantViolation("clique cover witness misses an edge")
 
 
-def bounds_report(
-    g: Graph,
-    *,
-    search_limit: int = DEFAULT_SEARCH_LIMIT,
-    workers: int = 1,
-) -> BoundsReport:
+def bounds_report(g: Graph) -> BoundsReport:
     """Assemble the bound chain n - cc <= Z+ <= Z, P <= Z, delta <= Z+.
 
-    Violations raise InvariantViolation (exit code 4 in the CLI) since they
-    would falsify a theorem or reveal a bug.
+    The clique cover (at most 40 edges) and the path cover (n <= 16) run
+    first, so their guards refuse an oversized graph with SizeLimitError
+    before either exact search starts.  Violations raise InvariantViolation
+    (exit code 4 in the CLI) since they would falsify a theorem or reveal a
+    bug.
     """
-    delta = min_degree(g)
-    z = zero_forcing_number(g, "standard", limit=search_limit, workers=workers).value
-    zplus = zero_forcing_number(g, "psd", limit=search_limit, workers=workers).value
-    pc = path_cover_number(g).number
     cc = clique_cover_number(g).number
+    pc = path_cover_number(g).number
+    delta = min_degree(g)
+    z = zero_forcing_number(g, "standard").value
+    zplus = zero_forcing_number(g, "psd").value
     lower = g.n - cc
     checks = (
         (lower <= zplus, "n - cc <= Z+"),

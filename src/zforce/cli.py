@@ -104,11 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_ALL_MIN_LIMIT} for --all-min)")
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("bounds", help="path cover, clique cover, nullity bounds")
+    p = sub.add_parser("bounds", help="path cover, clique cover, nullity bounds "
+                                      "(n <= 16, at most 40 edges)")
     _add_input_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--search-limit", type=int, default=DEFAULT_SEARCH_LIMIT)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("os", help="OS number and a maximum OS-set")
     _add_input_args(p)
@@ -141,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", action="append", metavar="NAME",
                    help="run only the named criteria (repeatable)")
     p.add_argument("--max-n", type=int, default=None,
-                   help="cap the exhaustive sweeps at this order")
-    p.add_argument("--workers", type=int, default=1)
+                   help="cap the exhaustive sweeps at this order (at least 1)")
     p.add_argument("--list", action="store_true", help="list criterion names")
     return ap
 
@@ -180,8 +178,7 @@ def cmd_param(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = _load_graph(args)
-    report = bounds_report(g, search_limit=args.search_limit,
-                           workers=args.workers)
+    report = bounds_report(g)
     if args.json:
         print(json.dumps({"graph": g.name or write_graph6(g),
                           **report.to_dict()}))
@@ -274,8 +271,7 @@ def cmd_reproduce(args) -> int:
         if unknown:
             raise GraphError(f"unknown criteria: {sorted(unknown)}; "
                              f"known: {names}")
-    results = run_suite(only=args.only, max_n=args.max_n,
-                        workers=args.workers)
+    results = run_suite(only=args.only, max_n=args.max_n)
     for r in results:
         print(r.summary())
     failures = [r.name for r in results if not r.passed]

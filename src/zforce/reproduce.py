@@ -94,7 +94,7 @@ def all_trees_upto(max_n: int) -> list[Graph]:
     """All trees with 1 <= n <= max_n, one per isomorphism class."""
     import networkx as nx
 
-    out = [family("complete", [1]), family("path", [2])]
+    out = [family("complete", [1]), family("path", [2])][:max(max_n, 0)]
     for n in range(3, max_n + 1):
         out.extend(_from_networkx(t) for t in nx.nonisomorphic_trees(n))
     return out
@@ -120,30 +120,15 @@ def random_connected_graphs(count: int, orders, seed: int = RANDOM_SEED):
     return out
 
 
-_PARAMS: dict[tuple, dict] = {}
-
-
-def _params(g: Graph) -> dict:
-    """Memoized (Z, Z+, delta) per graph; shared across criteria."""
-    key = g.adj
-    if key not in _PARAMS:
-        _PARAMS[key] = {
-            "z": zero_forcing_number(g, "standard").value,
-            "zp": zero_forcing_number(g, "psd").value,
-            "delta": min_degree(g),
-        }
-    return _PARAMS[key]
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
 
-def criterion_pinwheel(max_n=None, workers=1) -> CriterionResult:
+def criterion_pinwheel(max_n=None) -> CriterionResult:
     g = family("pinwheel12")
-    z = zero_forcing_number(g, "standard", workers=workers).value
-    zp = zero_forcing_number(g, "psd", workers=workers).value
+    z = zero_forcing_number(g, "standard").value
+    zp = zero_forcing_number(g, "psd").value
     p = path_cover_number(g).number
     cc = clique_cover_number(g).number
     checks = [
@@ -155,8 +140,8 @@ def criterion_pinwheel(max_n=None, workers=1) -> CriterionResult:
     return _result("pinwheel", checks)
 
 
-def criterion_trees(max_n=None, workers=1) -> CriterionResult:
-    hi = min(max_n or 10, 10)
+def criterion_trees(max_n=10) -> CriterionResult:
+    hi = min(max_n, 10)
     trees = all_trees_upto(hi)
     for n in range(3, min(hi, 6) + 1):  # labeled exhaustion where it is cheap
         trees.extend(pruefer_trees(n))
@@ -174,28 +159,27 @@ def criterion_trees(max_n=None, workers=1) -> CriterionResult:
     return _result("trees", checks)
 
 
-def criterion_duality(max_n=None, workers=1) -> CriterionResult:
-    hi = max_n or 8
-    graphs = connected_graphs_upto(min(hi, 6))
+def criterion_duality(max_n=8) -> CriterionResult:
+    hi = min(max_n, 6)
+    graphs = connected_graphs_upto(hi)
     exhaustive = len(graphs)
-    sampled = 0
-    if hi >= 7:
-        orders = [n for n in (7, 8) if n <= hi]
+    orders = [n for n in (7, 8) if n <= max_n]
+    if orders:
         graphs += random_connected_graphs(200, orders)
-        sampled = 200
+    sampled = len(graphs) - exhaustive
     bad = 0
     for g in graphs:
-        if os_number_bruteforce(g) + _params(g)["zp"] != g.n:
+        if os_number_bruteforce(g) + zero_forcing_number(g, "psd").value != g.n:
             bad += 1
     checks = [
         (bad == 0, f"OS + Z+ = n on {exhaustive} connected classes (n <= "
-                   f"{min(hi, 6)}) and {sampled} random graphs; {bad} violations"),
+                   f"{hi}) and {sampled} random graphs; {bad} violations"),
     ]
     return _result("duality", checks)
 
 
-def criterion_reversal(max_n=None, workers=1) -> CriterionResult:
-    hi = min(max_n or 7, 7)
+def criterion_reversal(max_n=7) -> CriterionResult:
+    hi = min(max_n, 7)
     tested = bad = 0
     for g in connected_graphs_upto(hi):
         for s in all_minimum_zfs(g, "standard"):
@@ -210,8 +194,8 @@ def criterion_reversal(max_n=None, workers=1) -> CriterionResult:
     return _result("reversal", checks)
 
 
-def criterion_intersection(max_n=None, workers=1) -> CriterionResult:
-    hi = min(max_n or 7, 7)
+def criterion_intersection(max_n=7) -> CriterionResult:
+    hi = min(max_n, 7)
     graphs = [g for g in connected_graphs_upto(hi) if g.n >= 2]
     bad_int = bad_nbr = 0
     for g in graphs:
@@ -234,20 +218,18 @@ def criterion_intersection(max_n=None, workers=1) -> CriterionResult:
     return _result("intersection", checks)
 
 
-def criterion_sandwich(max_n=None, workers=1) -> CriterionResult:
-    hi = min(max_n or 7, 7)
-    graphs = connected_graphs_upto(hi)
-    if (max_n or 8) >= 7:
-        orders = [n for n in (7, 8) if n <= (max_n or 8)]
-        if orders:
-            graphs += random_connected_graphs(200, orders)
+def criterion_sandwich(max_n=8) -> CriterionResult:
+    graphs = connected_graphs_upto(min(max_n, 7))
+    orders = [n for n in (7, 8) if n <= max_n]
+    if orders:
+        graphs += random_connected_graphs(200, orders)
     bad = 0
     for g in graphs:
-        p = _params(g)
+        z = zero_forcing_number(g, "standard").value
+        zp = zero_forcing_number(g, "psd").value
         pc = path_cover_number(g).number
         cc = clique_cover_number(g).number
-        if not (p["delta"] <= p["zp"] <= p["z"] and pc <= p["z"]
-                and g.n - cc <= p["zp"]):
+        if not (min_degree(g) <= zp <= z and pc <= z and g.n - cc <= zp):
             bad += 1
     checks = [
         (bad == 0, f"delta <= Z+ <= Z, P <= Z, n - cc <= Z+ on "
@@ -256,7 +238,7 @@ def criterion_sandwich(max_n=None, workers=1) -> CriterionResult:
     return _result("sandwich", checks)
 
 
-def criterion_mobius(max_n=None, workers=1) -> CriterionResult:
+def criterion_mobius(max_n=None) -> CriterionResult:
     from .bounds import bounds_report
 
     g = family("mobius_ladder", [8])
@@ -271,7 +253,7 @@ def criterion_mobius(max_n=None, workers=1) -> CriterionResult:
     return _result("mobius", checks)
 
 
-def criterion_books(max_n=None, workers=1) -> CriterionResult:
+def criterion_books(max_n=None) -> CriterionResult:
     bad = []
     for m in (2, 3, 4):
         for t in (3, 4, 5):
@@ -293,7 +275,7 @@ TREE_CLIQUE_CASES = (
 )
 
 
-def criterion_tree_clique(max_n=None, workers=1) -> CriterionResult:
+def criterion_tree_clique(max_n=None) -> CriterionResult:
     checks = []
     for name, params, r in TREE_CLIQUE_CASES:
         t = family(name, params)
@@ -323,7 +305,7 @@ PRODUCT_BOUND_FACTORS = (
 )
 
 
-def criterion_product_bound(max_n=None, workers=1) -> CriterionResult:
+def criterion_product_bound(max_n=None) -> CriterionResult:
     bad = []
     tested = 0
     for (na, pa), (nb, pb) in combinations_with_replacement(
@@ -334,7 +316,7 @@ def criterion_product_bound(max_n=None, workers=1) -> CriterionResult:
             continue
         tested += 1
         prod = cartesian_product(g, h)
-        zp = zero_forcing_number(prod, "psd", workers=workers).value
+        zp = zero_forcing_number(prod, "psd").value
         bound = min(
             zero_forcing_number(g, "psd").value * h.n,
             zero_forcing_number(h, "psd").value * g.n,
@@ -348,7 +330,7 @@ def criterion_product_bound(max_n=None, workers=1) -> CriterionResult:
     return _result("product-bound", checks)
 
 
-def criterion_h43(max_n=None, workers=1) -> CriterionResult:
+def criterion_h43(max_n=None) -> CriterionResult:
     checks = []
     for root in ("omega", "omega-bar"):
         a = build_h43_witness(root=root)
@@ -398,11 +380,13 @@ CRITERIA = (
 )
 
 
-def run_suite(only=None, max_n=None, workers=1):
-    """Run all (or the named) criteria; returns the list of results."""
-    results = []
-    for name, fn in CRITERIA:
-        if only and name not in only:
-            continue
-        results.append(fn(max_n=max_n, workers=workers))
-    return results
+def run_suite(only=None, max_n=None):
+    """Run all (or the named) criteria; returns the list of results.
+
+    max_n caps every exhaustive sweep at that order (at least 1); None runs
+    each sweep at its own default.
+    """
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    cap = {} if max_n is None else {"max_n": max_n}
+    return [fn(**cap) for name, fn in CRITERIA if not only or name in only]

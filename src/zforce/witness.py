@@ -88,10 +88,10 @@ def support_matches(a: np.ndarray, pattern: np.ndarray,
     if a.shape != pattern.shape:
         raise ValueError("matrix and pattern shapes differ")
     thresh = tol * max(np.abs(a).max(), 1e-300)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if (abs(a[i, j]) > thresh) != bool(pattern[i, j]):
-                return PatternCheck(False, (i, j), tol)
+    wrong = np.argwhere((np.abs(a) > thresh) != pattern.astype(bool))
+    if len(wrong):
+        i, j = wrong[0]  # row-major: the first mismatch in reading order
+        return PatternCheck(False, (int(i), int(j)), tol)
     return PatternCheck(True, None, tol)
 
 

@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 import zforce.bounds
+import zforce.search
 from zforce import (
     Graph,
     InvariantViolation,
@@ -226,6 +227,31 @@ class TestCliqueCover:
         with pytest.raises(SizeLimitError):
             clique_cover_number(family("complete", [10]))
 
+    def test_pinned_clique_witnesses(self):
+        p2 = family("path", [2])
+        cases = [
+            (family("pinwheel12"),
+             ((0, 1, 2), (0, 3, 4), (0, 2, 4), (3, 5, 9), (3, 9, 11), (4, 5, 6),
+              (5, 6, 8), (6, 7, 8), (9, 10, 11))),
+            (family("mobius_ladder", [8]),
+             ((0, 1), (0, 4), (0, 7), (1, 2), (1, 5), (2, 3), (2, 6), (3, 4),
+              (3, 7), (4, 5), (5, 6), (6, 7))),
+            (cartesian_product(cartesian_product(p2, p2), p2),
+             ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 7),
+              (4, 5), (4, 6), (5, 7), (6, 7))),
+            (family("four_hub_wheel", [3]),
+             ((0, 1), (0, 11), (0, 12), (1, 2), (1, 13), (2, 3), (2, 14), (3, 4),
+              (3, 15), (4, 5), (4, 12), (5, 6), (5, 13), (6, 7), (6, 14), (7, 8),
+              (7, 15), (8, 9), (8, 12), (9, 10), (9, 13), (10, 11), (10, 14),
+              (11, 15))),
+            (family("book", [3, 4]),
+             ((0, 1), (0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (1, 7), (2, 3),
+              (4, 5), (6, 7))),
+        ]
+        for g, cliques in cases:
+            res = clique_cover_number(g)
+            assert (res.number, res.cliques) == (len(cliques), cliques)
+
 
 class TestMaximalCliques:
     def test_pinwheel_is_all_triangles(self):
@@ -264,6 +290,19 @@ class TestBoundsReport:
 
         d = bounds_report(family("cycle", [5])).to_dict()
         assert json.loads(json.dumps(d)) == d
+
+    def test_guards_refuse_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            pytest.fail("an exact search ran on a graph the guards refuse")
+
+        monkeypatch.setattr(zforce.search, "zero_forcing_number", no_search)
+        monkeypatch.setattr(zforce.bounds, "zero_forcing_number", no_search)
+        with pytest.raises(SizeLimitError, match="path cover"):
+            bounds_report(family("path", [17]))
+        # the edge guard refuses before the path cover enumerates anything
+        monkeypatch.setattr(zforce.bounds, "_induced_paths_from", no_search)
+        with pytest.raises(SizeLimitError, match="clique cover"):
+            bounds_report(family("complete", [10]))
 
     def test_sandwich_on_random_graphs(self):
         rng = random.Random(7)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from zforce import numeric_rank, read_matrix, write_graph6, family
 from zforce.cli import main
 
@@ -77,9 +79,25 @@ def test_exit_code_parse_error(capsys):
 
 
 def test_exit_code_bad_workers(capsys):
-    for cmd in ("param", "bounds"):
-        code, _, err = run(capsys, cmd, "--family", "path", "3", "--workers", "0")
-        assert code == 2 and "workers" in err
+    code, _, err = run(capsys, "param", "--family", "path", "3", "--workers", "0")
+    assert code == 2 and "workers" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--family", "path", "3", "--workers", "2"),
+    ("bounds", "--family", "path", "3", "--search-limit", "30"),
+    ("reproduce", "--workers", "2"),
+])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_exit_code_bad_max_n(max_n, capsys):
+    code, out, err = run(capsys, "reproduce", "--max-n", max_n)
+    assert code == 2 and "max_n" in err and out == ""
 
 
 def test_exit_code_size_guard(capsys):

@@ -28,3 +28,17 @@ def test_atlas_read_once(monkeypatch):
 def test_atlas_order_cap():
     with pytest.raises(ValueError):
         reproduce.connected_graphs_upto(8)
+
+
+def test_trees_honour_small_max_n():
+    assert reproduce.all_trees_upto(0) == []
+    assert [t.n for t in reproduce.all_trees_upto(1)] == [1]
+    assert [t.n for t in reproduce.all_trees_upto(2)] == [1, 2]
+    result = reproduce.criterion_trees(max_n=1)
+    assert result.passed and "all 1 trees (n <= 1)" in result.summary()
+
+
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_run_suite_rejects_max_n_below_one(max_n):
+    with pytest.raises(ValueError):
+        reproduce.run_suite(max_n=max_n)
