@@ -3,9 +3,10 @@ checked by this package, with expected numbers frozen inline.
 
 Each criterion returns a CriterionResult; the CLI `zforce reproduce` and
 tests/test_acceptance.py both drive this module.  Exhaustive sweeps over
-small connected graphs use the graph atlas (all isomorphism classes up to
-order 7); parameters being isomorphism invariants, one representative per
-class covers all graphs of that order.
+small connected graphs and trees read the graph6 tables of _small_graphs
+(every connected isomorphism class up to order 7, every tree up to order
+10); parameters being isomorphism invariants, one representative per class
+covers all graphs of that order.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
+from ._small_graphs import CONNECTED_ATLAS, TREES
 from .bounds import clique_cover_number, path_cover_number
 from .forcing import derived_set, is_forcing_set, reversal
-from .graph import Graph, cartesian_product, family
+from .graph import Graph, cartesian_product, family, parse_graph6
 from .search import (
     all_minimum_zfs,
     min_degree,
@@ -66,21 +68,15 @@ def _result(name: str, checks: list[tuple[bool, str]]) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _from_networkx(nxg) -> Graph:
-    nodes = sorted(nxg.nodes())
-    pos = {v: i for i, v in enumerate(nodes)}
-    return Graph.from_edges(
-        len(nodes), [(pos[u], pos[v]) for u, v in nxg.edges()]
-    )
-
-
 @lru_cache(maxsize=1)
 def _connected_atlas() -> tuple[Graph, ...]:
-    """The connected graphs of the networkx atlas (orders 1..7), in atlas order."""
-    from networkx.generators.atlas import graph_atlas_g
+    """The connected graphs of the graph atlas (orders 1..7), in atlas order.
 
-    graphs = (_from_networkx(nxg) for nxg in graph_atlas_g() if nxg.number_of_nodes())
-    return tuple(g for g in graphs if g.is_connected())
+    Parsed on first use from the graph6 table CONNECTED_ATLAS, recorded from
+    networkx 3.x's `graph_atlas_g`; test_tables_match_networkx in
+    tests/test_reproduce.py re-derives it.
+    """
+    return tuple(map(parse_graph6, CONNECTED_ATLAS.split()))
 
 
 def connected_graphs_upto(max_n: int) -> list[Graph]:
@@ -91,13 +87,16 @@ def connected_graphs_upto(max_n: int) -> list[Graph]:
 
 
 def all_trees_upto(max_n: int) -> list[Graph]:
-    """All trees with 1 <= n <= max_n, one per isomorphism class."""
-    import networkx as nx
+    """All trees with 1 <= n <= max_n, one per isomorphism class.
 
+    Orders 3..10 come from the graph6 table TREES, recorded from networkx
+    3.x's `nonisomorphic_trees`; test_tables_match_networkx in
+    tests/test_reproduce.py re-derives it.
+    """
+    if max_n > 10:
+        raise ValueError("the tree table covers orders up to 10")
     out = [family("complete", [1]), family("path", [2])][:max(max_n, 0)]
-    for n in range(3, max_n + 1):
-        out.extend(_from_networkx(t) for t in nx.nonisomorphic_trees(n))
-    return out
+    return out + [t for t in map(parse_graph6, TREES.split()) if t.n <= max_n]
 
 
 def pruefer_trees(n: int) -> list[Graph]:

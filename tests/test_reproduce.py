@@ -1,33 +1,84 @@
 """Graph enumeration helpers behind the reproduce criteria."""
 
-import networkx.generators.atlas as atlas
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
-from zforce import reproduce
+from zforce import Graph, reproduce
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_atlas_read_once(monkeypatch):
-    calls = []
-    read_atlas = atlas.graph_atlas_g
+def _from_networkx(nxg) -> Graph:
+    # the converter the panels were recorded with
+    nodes = sorted(nxg.nodes())
+    pos = {v: i for i, v in enumerate(nodes)}
+    return Graph.from_edges(
+        len(nodes), [(pos[u], pos[v]) for u, v in nxg.edges()]
+    )
 
-    def counted():
-        calls.append(1)
-        return read_atlas()
 
-    monkeypatch.setattr(atlas, "graph_atlas_g", counted)
-    reproduce._connected_atlas.cache_clear()
+def test_tables_match_networkx():
+    atlas = (_from_networkx(nxg) for nxg in graph_atlas_g() if nxg.number_of_nodes())
+    connected = [g for g in atlas if g.is_connected()]
     upto6 = reproduce.connected_graphs_upto(6)
     upto7 = reproduce.connected_graphs_upto(7)
-    assert len(calls) == 1
+    assert upto7 == connected
     # connected classes of order 1..6, then the 853 of order 7
     assert (len(upto6), len(upto7)) == (143, 996)
     assert upto7[:len(upto6)] == upto6
     assert all(g.is_connected() and 1 <= g.n <= 6 for g in upto6)
 
+    trees = [_from_networkx(t) for n in range(3, 11) for t in nx.nonisomorphic_trees(n)]
+    assert len(trees) == 199
+    assert reproduce.all_trees_upto(10)[2:] == trees
+
+
+def test_tables_parsed_once(monkeypatch):
+    calls = []
+    parse = reproduce.parse_graph6
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(reproduce, "parse_graph6", counted)
+    reproduce._connected_atlas.cache_clear()
+    reproduce.connected_graphs_upto(6)
+    assert len(calls) == 996
+    reproduce.connected_graphs_upto(7)
+    assert len(calls) == 996
+
+
+def test_reproduce_does_not_import_networkx():
+    code = (
+        "import sys\n"
+        "from zforce import cli\n"
+        "rc = cli.main(['reproduce', '--max-n', '3'])\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        "sys.exit(rc)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_atlas_order_cap():
     with pytest.raises(ValueError):
         reproduce.connected_graphs_upto(8)
+
+
+def test_tree_order_cap():
+    with pytest.raises(ValueError):
+        reproduce.all_trees_upto(11)
 
 
 def test_trees_honour_small_max_n():
