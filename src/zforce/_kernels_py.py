@@ -8,6 +8,8 @@ node counts agree) for n <= 64.
 
 from __future__ import annotations
 
+from .graph import component_mask
+
 _CACHE_CAP = 64  # failed closures kept by first_forcing_lex
 
 
@@ -45,17 +47,7 @@ def closure_psd(adj, n: int, black: int) -> int:
         newly = 0
         rem = white
         while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj[v]
-                frontier = nxt & rem & ~comp
-                comp |= frontier
+            comp = component_mask(adj, rem, (rem & -rem).bit_length() - 1)
             rem &= ~comp
             m = black
             while m:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from .graph import Graph, InvariantViolation, SizeLimitError, _bits
 from .search import min_degree, zero_forcing_number
 
-DEFAULT_PATH_COVER_LIMIT = 16
-DEFAULT_CLIQUE_EDGE_LIMIT = 40
+PATH_COVER_LIMIT = 16
+CLIQUE_EDGE_LIMIT = 40
 
 # Hermitian psd nullity values taken from the literature for named families;
 # recorded as external data, never computed here.
@@ -64,14 +64,16 @@ class BoundsReport:
         }
 
 
-def path_cover_number(g: Graph, *, limit: int = DEFAULT_PATH_COVER_LIMIT) -> PathCover:
+def path_cover_number(g: Graph) -> PathCover:
     """Minimum number of vertex-disjoint induced paths covering V, with witness.
 
     DP over vertex masks s: the lowest vertex v of s lies on a path of
     paths[v] (the induced paths through v in the vertices >= v) inside s.
     """
-    if g.n > limit:
-        raise SizeLimitError(f"path cover refused for n={g.n} > limit {limit}")
+    if g.n > PATH_COVER_LIMIT:
+        raise SizeLimitError(
+            f"path cover refused for n={g.n} > limit {PATH_COVER_LIMIT}"
+        )
     paths = [_induced_paths_from(g.adj, v) for v in range(g.n)]
 
     @lru_cache(maxsize=None)
@@ -144,9 +146,7 @@ def _check_path_cover(g: Graph, cover):
         raise InvariantViolation("path cover witness does not cover V")
 
 
-def clique_cover_number(
-    g: Graph, *, edge_limit: int = DEFAULT_CLIQUE_EDGE_LIMIT
-) -> CliqueCover:
+def clique_cover_number(g: Graph) -> CliqueCover:
     """Minimum number of cliques covering every edge, with witness.
 
     Exact set cover over maximal cliques (restriction to maximal cliques
@@ -157,9 +157,9 @@ def clique_cover_number(
     n = g.n
     full = _edge_mask(n, g.adj)
     edges = full.bit_count()
-    if edges > edge_limit:
+    if edges > CLIQUE_EDGE_LIMIT:
         raise SizeLimitError(
-            f"clique cover refused for {edges} edges > limit {edge_limit}"
+            f"clique cover refused for {edges} edges > limit {CLIQUE_EDGE_LIMIT}"
         )
     if not edges:
         return CliqueCover(0, ())

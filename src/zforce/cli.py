@@ -36,6 +36,7 @@ from .search import (
     zero_forcing_number,
 )
 from .witness import (
+    RANK_TOL,
     DegenerateParameters,
     WitnessError,
     build_h43_witness,
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     tcg.add_argument("--tree-family", nargs="+", metavar=("NAME", "PARAM"))
     tc.add_argument("--r", type=int, required=True, help="clique size")
     tc.add_argument("--out", metavar="FILE", help="write the matrix here")
-    tc.add_argument("--tol", type=float, default=1e-8)
+    tc.add_argument("--tol", type=float, default=RANK_TOL)
     tc.add_argument("--json", action="store_true")
     h43 = wsub.add_parser("h43", help="complex rank-3 witness for the "
                                       "3-wheel with 4 hubs")
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     h43.add_argument("--root", default="omega",
                      help="omega, omega-bar, or real (rejected with a reason)")
     h43.add_argument("--out", metavar="FILE")
-    h43.add_argument("--tol", type=float, default=1e-8)
+    h43.add_argument("--tol", type=float, default=RANK_TOL)
     h43.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reproduce", help="run the reproduction suite")
@@ -150,9 +151,10 @@ def cmd_param(args) -> int:
     limit = args.search_limit if args.search_limit is not None else DEFAULT_SEARCH_LIMIT
     all_min_limit = (args.search_limit if args.search_limit is not None
                      else DEFAULT_ALL_MIN_LIMIT)
+    # the enumeration's tighter guard refuses before the Z search runs
+    sets = all_minimum_zfs(g, args.rule, limit=all_min_limit) if args.all_min else None
     res = zero_forcing_number(g, args.rule, limit=limit, workers=args.workers)
-    sets = (all_minimum_zfs(g, args.rule, limit=all_min_limit)
-            if args.all_min else list(res.sets))
+    sets = sets or [res.best]
     if args.json:
         payload = {
             "graph": g.name or write_graph6(g),

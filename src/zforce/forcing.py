@@ -146,17 +146,17 @@ def reversal(log: ForceLog) -> VertexSet:
     return VertexSet.of(log.initial.n, (c[-1] for c in decomp.chains))
 
 
-def certificate(log: ForceLog, one_based: bool = True) -> str:
+def certificate(log: ForceLog) -> str:
     """Line-oriented text certificate: rule and initial set, then one line
-    `step u -> w [component]` per force (component for the psd rule only)."""
-    off = 1 if one_based else 0
+    `step u -> w [component]` per force (component for the psd rule only).
+    Vertices are 1-based, as the CLI prints them."""
     lines = [
         f"rule {log.rule}",
-        "initial " + " ".join(str(v + off) for v in sorted(log.initial)),
+        "initial " + " ".join(str(v + 1) for v in sorted(log.initial)),
     ]
     for f in log.forces:
-        line = f"{f.step} {f.forcer + off} -> {f.forced + off}"
+        line = f"{f.step} {f.forcer + 1} -> {f.forced + 1}"
         if f.component is not None:
-            line += " [" + " ".join(str(v + off) for v in sorted(f.component)) + "]"
+            line += " [" + " ".join(str(v + 1) for v in sorted(f.component)) + "]"
         lines.append(line)
     return "\n".join(lines)

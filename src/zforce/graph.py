@@ -143,6 +143,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, name: str = "") -> "Graph":
+        if not 1 <= n <= MAX_VERTICES:  # before the rows are allocated
+            raise GraphError(f"order {n} outside supported range 1..{MAX_VERTICES}")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -353,21 +355,23 @@ def components(g: Graph, within: VertexSet) -> list[VertexSet]:
     remaining = within.mask
     comps = []
     while remaining:
-        comp = component_mask(g, remaining, (remaining & -remaining).bit_length() - 1)
+        comp = component_mask(g.adj, remaining,
+                              (remaining & -remaining).bit_length() - 1)
         comps.append(VertexSet(g.n, comp))
         remaining &= ~comp
     return comps
 
 
-def component_mask(g: Graph, within: int, v: int) -> int:
-    """Mask of the component of v in the subgraph induced on the mask `within`."""
+def component_mask(adj, within: int, v: int) -> int:
+    """Mask of the component of v in the subgraph induced on the mask `within`,
+    for the bitmask adjacency rows `adj`."""
     comp = 1 << v
     frontier = comp
     while frontier:
         nxt = 0
         while frontier:
             low = frontier & -frontier
-            nxt |= g.adj[low.bit_length() - 1]
+            nxt |= adj[low.bit_length() - 1]
             frontier ^= low
         frontier = nxt & within & ~comp
         comp |= frontier
@@ -428,11 +432,6 @@ PINWHEEL12_EDGES = (
     (4, 5), (4, 6), (4, 10), (4, 12), (5, 6), (5, 7),
     (6, 7), (6, 9), (6, 10), (7, 8), (7, 9), (8, 9),
     (10, 11), (10, 12), (11, 12),
-)
-
-FAMILY_NAMES = (
-    "path", "cycle", "complete", "complete_bipartite", "star", "pinwheel12",
-    "book", "mobius_ladder", "four_hub_wheel", "tree_from_pruefer",
 )
 
 
@@ -571,3 +570,4 @@ _FAMILIES = {
     "four_hub_wheel": four_hub_wheel,
     "tree_from_pruefer": tree_from_pruefer,
 }
+FAMILY_NAMES = tuple(_FAMILIES)

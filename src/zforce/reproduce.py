@@ -107,8 +107,8 @@ def pruefer_trees(n: int) -> list[Graph]:
     ]
 
 
-def random_connected_graphs(count: int, orders, seed: int = RANDOM_SEED):
-    rng = random.Random(seed)
+def random_connected_graphs(count: int, orders):
+    rng = random.Random(RANDOM_SEED)
     out = []
     while len(out) < count:
         n = orders[len(out) % len(orders)]

@@ -42,12 +42,8 @@ _PARALLEL_MIN_WORK = 4096  # don't fork for tiny subset spaces
 class SearchResult:
     rule: str
     value: int
-    sets: tuple[VertexSet, ...]
+    best: VertexSet
     nodes_explored: int
-
-    @property
-    def best(self) -> VertexSet:
-        return self.sets[0]
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ def zero_forcing_number(
             nodes += explored
             for v in _bits(submask):
                 mask |= 1 << idx[v]
-    return SearchResult(rule, total, (VertexSet(g.n, mask),), nodes)
+    return SearchResult(rule, total, VertexSet(g.n, mask), nodes)
 
 
 def _pool_size(workers: int, cpu_count: int | None) -> int:
@@ -184,12 +180,12 @@ def all_minimum_zfs(
     return [VertexSet(g.n, m) for m in masks]
 
 
-def min_zfs_intersection(g: Graph, *, limit: int = DEFAULT_ALL_MIN_LIMIT) -> VertexSet:
+def min_zfs_intersection(g: Graph) -> VertexSet:
     """Intersection of all minimum standard zero forcing sets.
 
     Empty for every connected graph of order at least two.
     """
-    sets = all_minimum_zfs(g, "standard", limit=limit)
+    sets = all_minimum_zfs(g, "standard")
     mask = (1 << g.n) - 1
     for s in sets:
         mask &= s.mask
@@ -236,7 +232,7 @@ def verify_os_set(g: Graph, s: OsSet) -> OsCheck:
             return OsCheck(False, k, f"witness {w} already placed at step {k}")
         if not g.has_edge(w, v):
             return OsCheck(False, k, f"witness {w} not adjacent to {v}")
-        h_k = component_mask(g, placed, v)
+        h_k = component_mask(g.adj, placed, v)
         if g.adj[w] & (h_k & ~(1 << v)):
             return OsCheck(
                 False, k, f"witness {w} has another neighbor in the component of {v}"
@@ -244,9 +240,9 @@ def verify_os_set(g: Graph, s: OsSet) -> OsCheck:
     return OsCheck(True)
 
 
-def os_number_bruteforce(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> int:
+def os_number_bruteforce(g: Graph) -> int:
     """Exact OS number by subset dynamic programming."""
-    return len(maximum_os_set(g, limit=limit))
+    return len(maximum_os_set(g))
 
 
 def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
@@ -319,7 +315,7 @@ def _os_witness(g: Graph, s: int, v: int):
             continue
         if other:
             if comp is None:
-                comp = component_mask(g, s, v)
+                comp = component_mask(adj, s, v)
             if other & comp:
                 continue
         return w

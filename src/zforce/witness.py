@@ -34,7 +34,6 @@ class DegenerateParameters(WitnessError):
 class PatternCheck:
     ok: bool
     first_mismatch: tuple[int, int] | None = None
-    tol: float = PATTERN_TOL
 
     def __bool__(self):
         return self.ok
@@ -65,62 +64,59 @@ def rank_gap(a: np.ndarray, rank: int) -> float:
     return float(s[rank - 1] / s[rank])
 
 
-def pattern_matches(a: np.ndarray, g: Graph, tol: float = PATTERN_TOL) -> PatternCheck:
+def pattern_matches(a: np.ndarray, g: Graph) -> PatternCheck:
     """Does the off-diagonal support of a square matrix equal E(G)?
 
-    The diagonal is ignored.  Entries are compared against tol times the
-    largest magnitude in the matrix.
+    The diagonal is ignored.  Entries are compared against PATTERN_TOL times
+    the largest magnitude in the matrix.
     """
     a = np.asarray(a)
     if a.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {a.shape} does not match order {g.n}")
-    thresh = tol * max(np.abs(a).max(), 1e-300)
+    thresh = PATTERN_TOL * max(np.abs(a).max(), 1e-300)
     pattern = np.array([[r >> j & 1 for j in range(g.n)] for r in g.adj], dtype=bool)
     np.fill_diagonal(pattern, np.abs(np.diag(a)) > thresh)  # so the diagonal matches
-    return support_matches(a, pattern, tol)
+    return support_matches(a, pattern)
 
 
-def support_matches(a: np.ndarray, pattern: np.ndarray,
-                    tol: float = PATTERN_TOL) -> PatternCheck:
+def support_matches(a: np.ndarray, pattern: np.ndarray) -> PatternCheck:
     """Does the (rectangular) zero-nonzero support equal the 0/1 pattern?"""
     a = np.asarray(a)
     pattern = np.asarray(pattern)
     if a.shape != pattern.shape:
         raise ValueError("matrix and pattern shapes differ")
-    thresh = tol * max(np.abs(a).max(), 1e-300)
+    thresh = PATTERN_TOL * max(np.abs(a).max(), 1e-300)
     wrong = np.argwhere((np.abs(a) > thresh) != pattern.astype(bool))
     if len(wrong):
         i, j = wrong[0]  # row-major: the first mismatch in reading order
-        return PatternCheck(False, (int(i), int(j)), tol)
-    return PatternCheck(True, None, tol)
+        return PatternCheck(False, (int(i), int(j)))
+    return PatternCheck(True)
 
 
-def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_psd(a: np.ndarray) -> bool:
     """Positive semidefiniteness of a Hermitian matrix (numeric)."""
     a = np.asarray(a)
     if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     ev = np.linalg.eigvalsh(a)
     scale = max(1.0, float(np.abs(ev).max()))
-    return bool(ev.min() >= -tol * scale)
+    return bool(ev.min() >= -PSD_TOL * scale)
 
 
 # ---------------------------------------------------------------------------
 # tree x clique witness
 # ---------------------------------------------------------------------------
 
-DEFAULT_ALPHA_SCHEDULE = (1.0, 0.5, 1.0 / 3.0)
+ALPHA_SCHEDULE = (1.0, 0.5, 1.0 / 3.0)
 
 
-def build_tree_clique_witness(
-    t: Graph, r: int, alpha_schedule=None
-) -> np.ndarray:
+def build_tree_clique_witness(t: Graph, r: int) -> np.ndarray:
     """Real symmetric psd matrix with pattern T x K_r and rank (|T|-1) * r.
 
     Built edge by edge from the root-0 orientation of the tree: each tree
     edge contributes alpha times a psd rank-r block [[M, I], [I, M^-1]] with
     M = I + J, placed on the parent/child copies.  Vertex (i, j) of the
-    product sits at index i*r + j.  alpha values are tried from the schedule
+    product sits at index i*r + j.  alpha values are tried from ALPHA_SCHEDULE
     (then seeded random draws in (0,1)) until the support is exact.
     """
     if r < 2:
@@ -131,9 +127,8 @@ def build_tree_clique_witness(
         raise ValueError("input graph is not a tree")
     if t.n * r > MAX_VERTICES:
         raise SizeLimitError(f"product order {t.n * r} exceeds {MAX_VERTICES}")
-    schedule = list(alpha_schedule or DEFAULT_ALPHA_SCHEDULE)
     rng = Random(1729)
-    schedule += [rng.uniform(0.01, 1.0) for _ in range(20)]
+    schedule = [*ALPHA_SCHEDULE, *(rng.uniform(0.01, 1.0) for _ in range(20))]
     product = cartesian_product(t, complete_graph(r))
     last_mismatch = None
     for alpha in schedule:

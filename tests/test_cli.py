@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zforce import numeric_rank, read_matrix, write_graph6, family
+from zforce import cli, numeric_rank, read_matrix, write_graph6, family
 from zforce.cli import main
 
 
@@ -103,6 +103,16 @@ def test_exit_code_bad_max_n(max_n, capsys):
 def test_exit_code_size_guard(capsys):
     code, _, err = run(capsys, "param", "--family", "path", "30")
     assert code == 3 and "refused" in err
+
+
+def test_all_min_guard_refuses_before_any_search(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        pytest.fail("the Z search ran before the --all-min guard refused")
+
+    monkeypatch.setattr(cli, "zero_forcing_number", no_search)
+    code, _, err = run(capsys, "param", "--family", "four_hub_wheel", "4",
+                       "--all-min")
+    assert code == 3 and "all_minimum_zfs refused" in err
 
 
 def test_exit_code_huge_family_parameter(capsys):

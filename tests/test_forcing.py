@@ -176,8 +176,3 @@ class TestCertificate:
         assert lines[1] == "initial 2"
         assert lines[2] == "1 2 -> 1 [1]"
         assert lines[3] == "2 2 -> 3 [3]"
-
-    def test_zero_based_option(self):
-        g = family("path", [3])
-        log = derived_set(g, VertexSet.of(3, [0]))
-        assert "initial 0" in certificate(log, one_based=False)

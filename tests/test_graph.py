@@ -288,6 +288,20 @@ class TestTextInputs:
         with pytest.raises(ParseError, match=msg):
             parse_edge_list(text)
 
+    def test_edge_list_huge_label_refused_before_allocating(self):
+        import tracemalloc
+
+        from zforce import parse_edge_list
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="outside supported range"):
+                parse_edge_list("1 1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_read_graph6_file(self, tmp_path):
         from zforce import read_graph6_file, write_graph6
 

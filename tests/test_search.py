@@ -8,27 +8,37 @@ computed with it.
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import zforce.search
 from zforce import (
     Graph,
     GraphError,
+    PatternCheck,
     SizeLimitError,
     VertexSet,
     all_minimum_zfs,
+    build_tree_clique_witness,
     cartesian_product,
+    certificate,
+    clique_cover_number,
+    derived_set,
     family,
     is_forcing_set,
+    is_psd,
     maximum_os_set,
     min_zfs_intersection,
     os_from_psd_set,
     os_number_bruteforce,
+    path_cover_number,
+    pattern_matches,
     psd_set_from_os,
+    support_matches,
     verify_os_set,
     zero_forcing_number,
 )
-from zforce.reproduce import connected_graphs_upto
+from zforce.reproduce import connected_graphs_upto, random_connected_graphs
 from test_kernels import oracle_closure
 
 
@@ -405,7 +415,7 @@ class TestOsSets:
     def test_os_size_guard(self):
         with pytest.raises(SizeLimitError):
             os_number_bruteforce(family("cycle", [9]))
-        assert os_number_bruteforce(family("cycle", [9]), limit=9) == 7
+        assert len(maximum_os_set(family("cycle", [9]), limit=9)) == 7
 
     def test_duality_and_construction_on_disconnected_graphs(self):
         rng = random.Random(53)
@@ -428,3 +438,28 @@ def test_unrank_matches_itertools():
         combos = list(combinations(range(n), k))
         for rank in range(0, math.comb(n, k), max(1, math.comb(n, k) // 17)):
             assert _unrank(n, k, rank) == combos[rank]
+
+
+P3 = family("path", [3])
+REMOVED_PARAMETERS = [
+    (path_cover_number, (P3,), "limit"),
+    (clique_cover_number, (P3,), "edge_limit"),
+    (pattern_matches, (np.eye(3), P3), "tol"),
+    (support_matches, (np.eye(2), np.eye(2)), "tol"),
+    (is_psd, (np.eye(2),), "tol"),
+    (PatternCheck, (True,), "tol"),
+    (build_tree_clique_witness, (family("path", [2]), 2), "alpha_schedule"),
+    (certificate, (derived_set(P3, VertexSet.of(3, [0])),), "one_based"),
+    (min_zfs_intersection, (P3,), "limit"),
+    (os_number_bruteforce, (P3,), "limit"),
+    (random_connected_graphs, (1, [3]), "seed"),
+]
+
+
+@pytest.mark.parametrize("fn,args,keyword", [
+    pytest.param(*case, id=f"{case[0].__name__}-{case[2]}")
+    for case in REMOVED_PARAMETERS
+])
+def test_removed_parameters_are_rejected(fn, args, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        fn(*args, **{keyword: 1})

@@ -144,11 +144,6 @@ class TestTreeCliqueWitness:
             assert numeric_rank(a) == (n - 1) * r
             assert is_psd(a)
 
-    def test_custom_alpha_schedule(self):
-        a = build_tree_clique_witness(family("path", [3]), 2,
-                                      alpha_schedule=[0.25])
-        assert numeric_rank(a) == 4
-
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
             build_tree_clique_witness(family("cycle", [4]), 2)
