@@ -10,7 +10,7 @@ paths, per lowest vertex of a mask, are enumerated once per graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .graph import Graph, InvariantViolation, SizeLimitError, _bits
@@ -51,17 +51,7 @@ class BoundsReport:
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "path_cover": self.path_cover,
-            "clique_cover": self.clique_cover,
-            "z": self.z,
-            "zplus": self.zplus,
-            "os": self.os,
-            "lower_mplus": self.lower_mplus,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def path_cover_number(g: Graph) -> PathCover:

@@ -14,7 +14,7 @@ import os.path
 import sys
 
 from .bounds import bounds_report
-from .forcing import certificate, derived_set
+from .forcing import RULES, certificate, derived_set
 from .graph import (
     Graph,
     GraphError,
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param", help="zero forcing number Z or Z+")
     _add_input_args(p)
-    p.add_argument("--rule", choices=("standard", "psd"), default="standard")
+    p.add_argument("--rule", choices=RULES, default="standard")
     p.add_argument("--all-min", action="store_true",
                    help="enumerate all minimum forcing sets")
     p.add_argument("--certificate", action="store_true",

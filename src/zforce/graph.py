@@ -8,6 +8,7 @@ the compiled kernels additionally fast-path n <= 64 (single machine word).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations
 
 MAX_VERTICES = 128
@@ -35,19 +36,16 @@ class InvariantViolation(RuntimeError):
     """
 
 
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """Immutable subset of the vertices 0..n-1, stored as a bitmask."""
 
-    __slots__ = ("mask", "n")
+    n: int
+    mask: int = 0
 
-    def __init__(self, n: int, mask: int = 0):
-        if mask < 0 or mask >> n:
-            raise GraphError(f"mask {mask:#x} has bits outside 0..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, *a):
-        raise AttributeError("VertexSet is immutable")
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.n:
+            raise GraphError(f"mask {self.mask:#x} has bits outside 0..{self.n - 1}")
 
     @classmethod
     def of(cls, n: int, vertices) -> "VertexSet":
@@ -75,34 +73,6 @@ class VertexSet:
     def __contains__(self, v):
         return 0 <= v < self.n and (self.mask >> v) & 1 == 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VertexSet)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.mask))
-
-    def __le__(self, other):
-        return self.mask & ~other.mask == 0
-
-    def __and__(self, other):
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __or__(self, other):
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __sub__(self, other):
-        return VertexSet(self.n, self.mask & ~other.mask)
-
-    def add(self, v: int) -> "VertexSet":
-        return VertexSet(self.n, self.mask | (1 << v))
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ((1 << self.n) - 1) & ~self.mask)
-
     def to_list(self) -> list[int]:
         return list(self)
 
@@ -110,18 +80,23 @@ class VertexSet:
         return f"VertexSet({sorted(self)}, n={self.n})"
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency.
 
-    Immutable after construction; safe to share across workers.
+    Immutable after construction; safe to share across workers.  Equality
+    and hashing ignore `name`.
     """
 
-    __slots__ = ("n", "adj", "name")
+    n: int
+    adj: tuple[int, ...]
+    name: str = field(default="", compare=False)
 
-    def __init__(self, n: int, adj, name: str = ""):
+    def __post_init__(self):
+        n = self.n
         if not 1 <= n <= MAX_VERTICES:
             raise GraphError(f"order {n} outside supported range 1..{MAX_VERTICES}")
-        adj = tuple(adj)
+        adj = tuple(self.adj)
         if len(adj) != n:
             raise GraphError("adjacency length differs from n")
         full = (1 << n) - 1
@@ -134,12 +109,7 @@ class Graph:
             for w in _bits(adj[v]):
                 if not (adj[w] >> v) & 1:
                     raise GraphError(f"asymmetric adjacency between {v} and {w}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges, name: str = "") -> "Graph":
@@ -172,9 +142,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
 
-    def vertex_set(self) -> VertexSet:
-        return VertexSet.full(self.n)
-
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         return Graph(
@@ -186,14 +153,6 @@ class Graph:
     def is_connected(self) -> bool:
         comps = components(self, VertexSet.full(self.n))
         return len(comps) <= 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
 
     def __repr__(self):
         label = self.name or "graph"
@@ -295,11 +254,10 @@ def _read_order(data: bytes) -> tuple[int, int]:
 
 
 def _write_order(n: int) -> str:
+    # Graph caps n at MAX_VERTICES, so the 4-byte form always suffices
     if n <= 62:
         return chr(63 + n)
-    if n <= 258047:
-        return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    raise SizeLimitError(f"order {n} not supported by this writer")
+    return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
 
 
 def read_graph6_file(path: str) -> list[Graph]:

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import kernels
-from .forcing import derived_set, is_forcing_set
+from .forcing import _check_rule, derived_set, is_forcing_set
 from .graph import (
     Graph,
     GraphError,
@@ -70,7 +70,8 @@ class OsCheck:
 def _guard(n: int, limit: int, what: str):
     if n > limit:
         raise SizeLimitError(
-            f"{what} refused for n={n} > limit {limit}; raise the limit explicitly"
+            f"{what} refused for n={n} > limit {limit}; raise it with limit= "
+            "in the library or --search-limit on the CLI"
         )
 
 
@@ -93,8 +94,7 @@ def zero_forcing_number(
     `nodes_explored` does, because each worker's range starts with an empty
     failed-closure cache.
     """
-    if rule not in ("standard", "psd"):
-        raise GraphError(f"unknown rule {rule!r}")
+    _check_rule(rule)
     workers = _pool_size(workers, os.cpu_count() if workers > 1 else 1)
     _guard(g.n, limit, f"zero_forcing_number({rule})")
     total = mask = nodes = 0
@@ -254,7 +254,7 @@ def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
     k holds only the sets one vertex larger than an OS-orderable set of
     size k - 1; each keeps the first v, ascending, that works.
     """
-    _guard(g.n, limit, "os_number_bruteforce")
+    _guard(g.n, limit, "maximum_os_set")
     full = (1 << g.n) - 1
     parent: dict[int, tuple[int, int] | None] = {0: None}
     layer = [0]

@@ -10,7 +10,6 @@ are unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
@@ -107,17 +106,15 @@ def is_psd(a: np.ndarray) -> bool:
 # tree x clique witness
 # ---------------------------------------------------------------------------
 
-ALPHA_SCHEDULE = (1.0, 0.5, 1.0 / 3.0)
-
 
 def build_tree_clique_witness(t: Graph, r: int) -> np.ndarray:
     """Real symmetric psd matrix with pattern T x K_r and rank (|T|-1) * r.
 
     Built edge by edge from the root-0 orientation of the tree: each tree
-    edge contributes alpha times a psd rank-r block [[M, I], [I, M^-1]] with
-    M = I + J, placed on the parent/child copies.  Vertex (i, j) of the
-    product sits at index i*r + j.  alpha values are tried from ALPHA_SCHEDULE
-    (then seeded random draws in (0,1)) until the support is exact.
+    edge contributes a psd rank-r block [[M, I], [I, M^-1]] with M = I + J,
+    placed on the parent/child copies.  Vertex (i, j) of the product sits at
+    index i*r + j.  The support is checked against the product pattern, and
+    a mismatch raises WitnessError.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -127,22 +124,6 @@ def build_tree_clique_witness(t: Graph, r: int) -> np.ndarray:
         raise ValueError("input graph is not a tree")
     if t.n * r > MAX_VERTICES:
         raise SizeLimitError(f"product order {t.n * r} exceeds {MAX_VERTICES}")
-    rng = Random(1729)
-    schedule = [*ALPHA_SCHEDULE, *(rng.uniform(0.01, 1.0) for _ in range(20))]
-    product = cartesian_product(t, complete_graph(r))
-    last_mismatch = None
-    for alpha in schedule:
-        a = _assemble_tree_clique(t, r, alpha)
-        check = pattern_matches(a, product)
-        if check:
-            return a
-        last_mismatch = check.first_mismatch
-    raise WitnessError(
-        f"alpha schedule exhausted; entry {last_mismatch} kept cancelling"
-    )
-
-
-def _assemble_tree_clique(t: Graph, r: int, alpha: float) -> np.ndarray:
     m = np.eye(r) + np.ones((r, r))
     # (I + J)^-1 = I - J/(r+1); the closed form keeps the block exactly symmetric
     minv = np.eye(r) - np.ones((r, r)) / (r + 1)
@@ -158,10 +139,15 @@ def _assemble_tree_clique(t: Graph, r: int, alpha: float) -> np.ndarray:
     for w in order[1:]:
         p = parent[w]
         ps, ws = slice(p * r, (p + 1) * r), slice(w * r, (w + 1) * r)
-        a[ps, ps] += alpha * m
-        a[ws, ws] += alpha * minv
-        a[ps, ws] += alpha * eye
-        a[ws, ps] += alpha * eye
+        a[ps, ps] += m
+        a[ws, ws] += minv
+        a[ps, ws] += eye
+        a[ws, ps] += eye
+    check = pattern_matches(a, cartesian_product(t, complete_graph(r)))
+    if not check:
+        raise WitnessError(
+            f"support differs from T x K_r at entry {check.first_mismatch}"
+        )
     return a
 
 

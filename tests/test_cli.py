@@ -105,6 +105,12 @@ def test_exit_code_size_guard(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_os_guard_names_the_refusing_function(capsys):
+    code, _, err = run(capsys, "os", "--family", "cycle", "9")
+    assert code == 3 and "maximum_os_set refused" in err
+    assert "--search-limit" in err
+
+
 def test_all_min_guard_refuses_before_any_search(capsys, monkeypatch):
     def no_search(*args, **kwargs):
         pytest.fail("the Z search ran before the --all-min guard refused")

@@ -28,10 +28,6 @@ class TestVertexSet:
         assert len(s) == 3
         assert list(s) == [0, 2, 5]
         assert 2 in s and 1 not in s
-        assert (s | VertexSet.of(6, [1])).to_list() == [0, 1, 2, 5]
-        assert (s - VertexSet.of(6, [2])).to_list() == [0, 5]
-        assert s.complement().to_list() == [1, 3, 4]
-        assert VertexSet.of(6, [0, 2]) <= s
 
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
@@ -60,6 +56,16 @@ class TestGraphType:
             Graph(0, [])
         with pytest.raises(GraphError):
             Graph.from_edges(129, [])
+
+    def test_immutable_and_hashable_ignoring_name(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], name="P3")
+        with pytest.raises(AttributeError):
+            g.n = 4
+        with pytest.raises(AttributeError):
+            g.name = "path"
+        h = Graph(3, [0b010, 0b101, 0b010])
+        assert isinstance(g.adj, tuple) and h.name == ""
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
 
     def test_edges_and_degrees(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
