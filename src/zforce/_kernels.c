@@ -4,6 +4,16 @@
  * cache policy, so search results and node counts match the pure path
  * exactly.  Every mask and adjacency row is checked to fit in n bits and
  * every start vertex to lie in 0..n-1, so no shift reaches 64.
+ *
+ * The cache holds the same 64 entries in the same ring slots as the pure
+ * twin's list, but stored by vertex (see FailedCache): col[v] has bit i set
+ * when entry i holds v, so "is m inside some entry" is an AND over the bits
+ * of m that stops at 0, not 64 compares.
+ *
+ * search.py calls these kernels once per component scan and k, and keeps
+ * each serial component scan in a 256-entry memo, so a scan runs once per
+ * process; nodes_explored still reports the closures it cost, as in a fresh
+ * process.  Pooled searches bypass the memo.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -35,23 +45,26 @@ close_standard(const u64 *adj, u64 full, u64 black)
     return black;
 }
 
-/* Batched rounds over the white components, as in the pure twin. */
+/* Batched rounds over the white components, as in the pure twin.  The BFS
+ * ORs the rows of the component into nb, its neighbourhood; only black
+ * vertices in nb have a white neighbour in it, so only they can force. */
 static u64
 close_psd(const u64 *adj, u64 full, u64 black)
 {
     for (;;) {
         u64 rem = full & ~black, newly = 0;
         while (rem) {
-            u64 comp = rem & -rem, frontier = comp;
+            u64 comp = rem & -rem, frontier = comp, nb = 0;
             while (frontier) {
                 u64 nxt = 0;
                 for (u64 f = frontier; f; f &= f - 1)
                     nxt |= adj[lowbit(f)];
+                nb |= nxt;
                 frontier = nxt & rem & ~comp;
                 comp |= frontier;
             }
             rem &= ~comp;
-            for (u64 m = black; m; m &= m - 1) {
+            for (u64 m = black & nb; m; m &= m - 1) {
                 u64 t = adj[lowbit(m)] & comp;
                 if (t && !(t & (t - 1)))
                     newly |= t;
@@ -139,14 +152,39 @@ comb_mask(const int *c, int k)
     return mask;
 }
 
-/* Whether m is a subset of one of the sets. */
+/* The failed-closure cache, stored by vertex: bit i of col[v] is set when
+ * entry i holds v, and bit i of filled when entry i is in use.  entry[] keeps
+ * each entry as a mask too, so that replacing one clears only its vertices. */
+typedef struct {
+    u64 col[MAX_N], entry[CACHE_CAP], filled;
+    int used;
+    long long slot;
+} FailedCache;
+
+/* Whether m is a subset of some entry: the AND of the columns of m's
+ * vertices, stopping as soon as no entry is left. */
 static int
-covered(u64 m, const u64 *sets, int nsets)
+covered(const FailedCache *fc, u64 m)
 {
-    for (int i = 0; i < nsets; i++)
-        if (!(m & ~sets[i]))
-            return 1;
-    return 0;
+    u64 hit = fc->filled;
+    for (; m && hit; m &= m - 1)
+        hit &= fc->col[lowbit(m)];
+    return hit != 0;
+}
+
+/* Append d while there is room, then overwrite the ring slot by slot, as
+ * the pure twin does with its list. */
+static void
+remember(FailedCache *fc, u64 d)
+{
+    int i = fc->used < CACHE_CAP ? fc->used++ : (int)(fc->slot++ % CACHE_CAP);
+    u64 bit = (u64)1 << i;
+    for (u64 m = fc->entry[i] & ~d; m; m &= m - 1)
+        fc->col[lowbit(m)] &= ~bit;
+    for (u64 m = d & ~fc->entry[i]; m; m &= m - 1)
+        fc->col[lowbit(m)] |= bit;
+    fc->entry[i] = d;
+    fc->filled |= bit;
 }
 
 static PyObject *
@@ -178,9 +216,10 @@ first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"adj", "n", "k", "psd", "start", "count", NULL};
     PyObject *adj, *start = Py_None;
-    int n, k, psd, comb[MAX_N], nfailed = 0, found = 0;
-    long long count = -1, slot = 0, explored = 0;
-    u64 rows[MAX_N], failed[CACHE_CAP], full, mask = 0;
+    int n, k, psd, comb[MAX_N], found = 0;
+    long long count = -1, explored = 0;
+    u64 rows[MAX_N], full, mask = 0;
+    FailedCache fc = {{0}, {0}, 0, 0, 0};
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oiip|OL", kwlist, &adj, &n,
                                      &k, &psd, &start, &count)
@@ -215,19 +254,15 @@ first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_BEGIN_ALLOW_THREADS
     while (count != 0) {
         mask = comb_mask(comb, k);
-        if (!covered(mask, failed, nfailed)) {
+        if (!covered(&fc, mask)) {
             explored++;
             u64 d = close_mask(rows, full, mask, psd);
             if (d == full) {
                 found = 1;
                 break;
             }
-            if (!covered(d, failed, nfailed)) {
-                if (nfailed < CACHE_CAP)
-                    failed[nfailed++] = d;
-                else
-                    failed[slot++ % CACHE_CAP] = d;
-            }
+            if (!covered(&fc, d))
+                remember(&fc, d);
         }
         count--;
         if (!advance(comb, n, k))

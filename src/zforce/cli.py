@@ -151,7 +151,9 @@ def cmd_param(args) -> int:
     limit = args.search_limit if args.search_limit is not None else DEFAULT_SEARCH_LIMIT
     all_min_limit = (args.search_limit if args.search_limit is not None
                      else DEFAULT_ALL_MIN_LIMIT)
-    # the enumeration's tighter guard refuses before the Z search runs
+    # the enumeration's tighter guard refuses before the Z search runs; with
+    # one worker the search below then reuses the enumeration's, through the
+    # scan memo, while a pool searches again
     sets = all_minimum_zfs(g, args.rule, limit=all_min_limit) if args.all_min else None
     res = zero_forcing_number(g, args.rule, limit=limit, workers=args.workers)
     sets = sets or [res.best]

@@ -5,12 +5,17 @@ its own, by k-subsets in lexicographic order from a lower bound up: the
 first hit is an optimum and the lexicographically smallest one.  The lower
 bounds follow the chain delta <= Z+ <= Z: the psd scan starts at the
 minimum degree and the standard scan continues from the Z+ value found.
+A serial component scan runs once per process: its result is kept in a
+memo of the last _SCAN_MEMO components, keyed by kernel backend, component
+graph and rule, so a psd query followed by a standard query on the same
+graph, in either order, reuses the psd scan.  Pooled searches bypass it.
 The OS number is computed by dynamic programming over reachable vertex
 subsets and tied to Z+ by the duality OS(G) + Z+(G) = |G|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +41,7 @@ DEFAULT_ALL_MIN_LIMIT = 12
 DEFAULT_OS_LIMIT = 8
 
 _PARALLEL_MIN_WORK = 4096  # don't fork for tiny subset spaces
+_SCAN_MEMO = 256  # serial component scans kept per process
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,11 @@ def zero_forcing_number(
     at the CPU count; the value and the set do not depend on it, but
     `nodes_explored` does, because each worker's range starts with an empty
     failed-closure cache.
+
+    A serial search (one worker) scans each component once per process and
+    keeps the result in a memo of _SCAN_MEMO entries; `nodes_explored`
+    reports the closures the scans cost, as in a fresh process, whether or
+    not the memo answered.  Pooled searches neither read nor fill the memo.
     """
     _check_rule(rule)
     workers = _pool_size(workers, os.cpu_count() if workers > 1 else 1)
@@ -102,11 +113,11 @@ def zero_forcing_number(
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for comp in components(g, VertexSet.full(g.n)):
             sub, idx = (g, range(g.n)) if len(comp) == g.n else induced(g, comp)
-            value, submask, explored = _first_k(
-                sub, "psd", max(1, min_degree(sub)), workers, pool)
-            if rule == "standard":
-                value, submask, more = _first_k(sub, rule, value, workers, pool)
-                explored += more
+            if pool is None:
+                value, submask, explored = _serial_scan(
+                    kernels._impl(sub.n), sub, rule)
+            else:
+                value, submask, explored = _scan(sub, rule, workers, pool)
             total += value
             nodes += explored
             for v in _bits(submask):
@@ -119,6 +130,34 @@ def _pool_size(workers: int, cpu_count: int | None) -> int:
     if workers < 1:
         raise GraphError(f"workers must be at least 1, got {workers}")
     return min(workers, cpu_count or 1)
+
+
+def _scan(sub: Graph, rule: str, workers: int, pool, psd=None):
+    """(value, lex-first mask, closures run) for one connected component.
+
+    The psd scan starts at the minimum degree; for the standard rule the
+    standard scan continues from its value, and the closure count includes
+    both.  `psd` is the psd scan's result when the caller already has it.
+    """
+    value, mask, nodes = psd or _first_k(
+        sub, "psd", max(1, min_degree(sub)), workers, pool)
+    if rule == "standard":
+        value, mask, more = _first_k(sub, rule, value, workers, pool)
+        nodes += more
+    return value, mask, nodes
+
+
+@functools.lru_cache(maxsize=_SCAN_MEMO)
+def _serial_scan(impl, sub: Graph, rule: str):
+    """`_scan` without a pool, memoised.
+
+    `impl`, the kernel backend that runs it, is part of the key only, so
+    each backend keeps its own entries.  The standard scan starts from the
+    memoised psd scan, so a psd query and a standard query on one graph
+    share it in either order.
+    """
+    psd = _serial_scan(impl, sub, "psd") if rule == "standard" else None
+    return _scan(sub, rule, 1, None, psd)
 
 
 def _first_k(sub: Graph, rule: str, lb: int, workers: int, pool):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the compiled kernel module, built on demand."""
+"""Shared fixtures: the compiled kernel module, built on demand, and an
+empty serial-scan memo for tests that count kernel calls."""
 
 import importlib.machinery
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from zforce import kernels
+from zforce import kernels, search
 
 ROOT = Path(__file__).resolve().parents[1]
 BUILD_TIMEOUT_S = 300
@@ -45,3 +46,11 @@ def kc(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def cold_memo():
+    """Empty `search`'s serial-scan memo before and after the test."""
+    search._serial_scan.cache_clear()
+    yield
+    search._serial_scan.cache_clear()

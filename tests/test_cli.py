@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from zforce import cli, numeric_rank, read_matrix, write_graph6, family
+from zforce import (
+    cli, family, kernels, numeric_rank, read_matrix, search, write_graph6,
+    zero_forcing_number,
+)
 from zforce.cli import main
 
 
@@ -119,6 +122,25 @@ def test_all_min_guard_refuses_before_any_search(capsys, monkeypatch):
     code, _, err = run(capsys, "param", "--family", "four_hub_wheel", "4",
                        "--all-min")
     assert code == 3 and "all_minimum_zfs refused" in err
+
+
+def test_all_min_runs_the_z_search_once(capsys, monkeypatch, cold_memo):
+    calls = []
+    lex = kernels.first_forcing_lex
+
+    def counted(*args):
+        calls.append(args[2])
+        return lex(*args)
+
+    monkeypatch.setattr(kernels, "first_forcing_lex", counted)
+    code, out, _ = run(capsys, "param", "--family", "pinwheel12", "--rule", "psd",
+                       "--all-min")
+    assert code == 0 and "Z+ = 3  (n = 12, 41 closures)" in out
+    in_cli = list(calls)
+    calls.clear()
+    search._serial_scan.cache_clear()
+    zero_forcing_number(family("pinwheel12"), "psd")
+    assert in_cli == calls and calls
 
 
 def test_exit_code_huge_family_parameter(capsys):

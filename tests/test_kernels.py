@@ -6,13 +6,15 @@ batched bitmask kernels.  The compiled twin comes from the `kc` fixture
 (tests/conftest.py), which builds it when it is not installed.
 """
 
+import math
 import random
 from itertools import combinations
 
 import pytest
 
-from zforce import Graph, family, kernels, zero_forcing_number
+from zforce import Graph, cartesian_product, family, kernels, zero_forcing_number
 from zforce import _kernels_py as kpy
+from zforce.search import _unrank
 
 
 def random_graph(rng, n, p=0.5):
@@ -80,7 +82,7 @@ class TestCompiledTwin:
     def test_closures_agree(self, kc):
         rng = random.Random(23)
         for _ in range(200):
-            g = random_graph(rng, rng.randint(1, 14), rng.random())
+            g = random_graph(rng, rng.randint(1, 64), rng.random())
             mask = rng.randrange(1 << g.n)
             assert kc.closure_standard(g.adj, g.n, mask) == \
                 kpy.closure_standard(g.adj, g.n, mask)
@@ -105,6 +107,23 @@ class TestCompiledTwin:
             for count in (1, 7, 50):
                 assert kc.first_forcing_lex(g.adj, g.n, 3, False, start, count) \
                     == kpy.first_forcing_lex(g.adj, g.n, 3, False, start, count)
+
+    @pytest.mark.parametrize("g, k", [
+        (cartesian_product(family("cycle", [4]), family("cycle", [5])), 7),
+        (random_graph(random.Random(2), 18, 0.35), 6),
+    ], ids=["C4xC5", "G18"])
+    def test_search_agrees_where_the_cache_ring_wraps(self, kc, g, k):
+        # psd level Z+ - 1: every subset fails, so tens of thousands of
+        # failed closures pass through the 64-entry ring
+        full = kpy.first_forcing_lex(g.adj, g.n, k, True)
+        assert full[0] is None and full[1] > 10_000
+        assert kc.first_forcing_lex(g.adj, g.n, k, True) == full
+        total = math.comb(g.n, k)
+        chunk = total // 3 + 1
+        for lo in range(0, total, chunk):
+            start = _unrank(g.n, k, lo)
+            assert kc.first_forcing_lex(g.adj, g.n, k, True, start, chunk) == \
+                kpy.first_forcing_lex(g.adj, g.n, k, True, start, chunk)
 
     def test_compiled_rejects_oversized(self, kc):
         with pytest.raises(ValueError):
@@ -141,9 +160,17 @@ def test_both_twins_reject_bad_start(kc, start):
             mod.first_forcing_lex(g.adj, g.n, 3, False, start, 5)
 
 
-def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch):
+def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_memo):
     graphs = [family("pinwheel12"), family("mobius_ladder", [12]),
               random_graph(random.Random(12), 12, 0.4)]
+    calls = []
+    lex = kernels.first_forcing_lex
+
+    def counted(adj, n, *args):
+        calls.append(kernels.backend_name(n))
+        return lex(adj, n, *args)
+
+    monkeypatch.setattr(kernels, "first_forcing_lex", counted)
     runs = {}
     for backend in (kc, None):
         monkeypatch.setattr(kernels, "_c", backend)
@@ -155,6 +182,8 @@ def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch):
         ]
     assert set(runs) == {"compiled", "pure-python"}
     assert runs["compiled"] == runs["pure-python"]
+    # the memo is keyed by backend, so each backend ran its own scans
+    assert calls.count("compiled") == calls.count("pure-python") > 0
 
 
 def test_large_orders_use_python_ints():

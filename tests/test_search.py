@@ -204,30 +204,18 @@ class TestZeroForcingNumber:
         ("ML8+K1,3+K1", "psd", 6, [0, 1, 2, 3, 8, 12], 35),
         ("ML8+K1,3+K1", "standard", 7, [0, 1, 2, 3, 9, 10, 12], 45),
     ])
-    def test_pinned_outputs(self, name, rule, value, best, nodes):
-        res = zero_forcing_number(PINNED_GRAPHS[name], rule)
-        assert (res.value, res.best.to_list(), res.nodes_explored) == \
-            (value, best, nodes)
+    def test_pinned_outputs(self, name, rule, value, best, nodes, cold_memo):
+        g = PINNED_GRAPHS[name]
+        other = "psd" if rule == "standard" else "standard"
+        # on an empty memo, then on one that holds both rules' scans
+        for _ in range(2):
+            res = zero_forcing_number(g, rule)
+            assert (res.value, res.best.to_list(), res.nodes_explored) == \
+                (value, best, nodes)
+            zero_forcing_number(g, other)
 
     def test_one_pool_per_call(self, monkeypatch):
-        built = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(zforce.search, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
-        monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 4)
+        built = use_in_process_pool(monkeypatch)
         g = disjoint_union(family("mobius_ladder", [8]), family("star", [3]))
         res = zero_forcing_number(g, "standard", workers=2)
         assert built == [2]
@@ -261,6 +249,80 @@ class TestZeroForcingNumber:
     def test_edgeless_needs_everything(self):
         g = Graph(4, [0, 0, 0, 0])
         assert zero_forcing_number(g).value == 4
+
+
+def use_in_process_pool(monkeypatch) -> list[int]:
+    """Serve `workers > 1` searches from an in-process stand-in for the pool
+    on a notional 4-CPU host, splitting every subset space; returns the list
+    of pool sizes built."""
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(zforce.search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
+    monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 4)
+    return built
+
+
+def search_outputs(g, rules):
+    return [
+        (r.value, r.best, r.nodes_explored)
+        for rule in rules for r in [zero_forcing_number(g, rule)]
+    ]
+
+
+class TestScanMemo:
+    def test_cold_and_warm_memo_agree(self, cold_memo):
+        rng = random.Random(59)
+        graphs = connected_graphs_upto(7) + [
+            random_graph(rng, n, rng.choice([0.2, 0.3, 0.45]))
+            for n in range(10, 17) for _ in range(3)
+        ]
+        memo = zforce.search._serial_scan
+        for g in graphs:
+            cold = {}
+            for rule in ("psd", "standard"):
+                memo.cache_clear()
+                cold[rule] = search_outputs(g, [rule])[0]
+            for order in (("psd", "standard"), ("standard", "psd")):
+                memo.cache_clear()
+                want = [cold[rule] for rule in order]
+                assert search_outputs(g, order) == want  # the second one hits
+                assert search_outputs(g, order) == want  # both hit
+
+    def test_pool_bypasses_the_memo(self, monkeypatch, cold_memo):
+        g = disjoint_union(family("mobius_ladder", [8]), family("star", [3]))
+        serial = zero_forcing_number(g, "standard")
+        assert serial.nodes_explored == 43
+        use_in_process_pool(monkeypatch)
+        res = zero_forcing_number(g, "standard", workers=2)
+        assert (res.value, res.best.to_list(), res.nodes_explored) == \
+            (6, [0, 1, 2, 3, 9, 10], 50)
+
+    def test_memo_stays_bounded(self, cold_memo):
+        # a 9-vertex path plus extra edges from the bits of i: each i is a
+        # distinct connected graph, so each one adds a memo entry
+        size = zforce.search._SCAN_MEMO
+        path = [(v, v + 1) for v in range(8)]
+        extra = [e for e in combinations(range(9), 2) if e not in path]
+        for i in range(size + 20):
+            chords = [e for b, e in enumerate(extra) if (i >> b) & 1]
+            zero_forcing_number(Graph.from_edges(9, path + chords), "psd")
+        info = zforce.search._serial_scan.cache_info()
+        assert info.misses == size + 20
+        assert info.currsize <= size
 
 
 class TestAllMinimum:
