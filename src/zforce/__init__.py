@@ -50,7 +50,6 @@ from .search import (
     min_degree,
     min_zfs_intersection,
     os_from_psd_set,
-    os_number_bruteforce,
     psd_set_from_os,
     verify_os_set,
     zero_forcing_number,

@@ -9,11 +9,6 @@
  * twin's list, but stored by vertex (see FailedCache): col[v] has bit i set
  * when entry i holds v, so "is m inside some entry" is an AND over the bits
  * of m that stops at 0, not 64 compares.
- *
- * search.py calls these kernels once per component scan and k, and keeps
- * each serial component scan in a 256-entry memo, so a scan runs once per
- * process; nodes_explored still reports the closures it cost, as in a fresh
- * process.  Pooled searches bypass the memo.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -154,11 +149,11 @@ comb_mask(const int *c, int k)
 
 /* The failed-closure cache, stored by vertex: bit i of col[v] is set when
  * entry i holds v, and bit i of filled when entry i is in use.  entry[] keeps
- * each entry as a mask too, so that replacing one clears only its vertices. */
+ * each entry as a mask too, so that replacing one clears only its vertices.
+ * stores counts the entries written so far. */
 typedef struct {
     u64 col[MAX_N], entry[CACHE_CAP], filled;
-    int used;
-    long long slot;
+    long long stores;
 } FailedCache;
 
 /* Whether m is a subset of some entry: the AND of the columns of m's
@@ -172,12 +167,12 @@ covered(const FailedCache *fc, u64 m)
     return hit != 0;
 }
 
-/* Append d while there is room, then overwrite the ring slot by slot, as
- * the pure twin does with its list. */
+/* Write d to ring slot stores % CACHE_CAP, as the pure twin does with its
+ * list. */
 static void
 remember(FailedCache *fc, u64 d)
 {
-    int i = fc->used < CACHE_CAP ? fc->used++ : (int)(fc->slot++ % CACHE_CAP);
+    int i = (int)(fc->stores++ % CACHE_CAP);
     u64 bit = (u64)1 << i;
     for (u64 m = fc->entry[i] & ~d; m; m &= m - 1)
         fc->col[lowbit(m)] &= ~bit;
@@ -219,7 +214,7 @@ first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
     int n, k, psd, comb[MAX_N], found = 0;
     long long count = -1, explored = 0;
     u64 rows[MAX_N], full, mask = 0;
-    FailedCache fc = {{0}, {0}, 0, 0, 0};
+    FailedCache fc = {{0}, {0}, 0, 0};
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oiip|OL", kwlist, &adj, &n,
                                      &k, &psd, &start, &count)
@@ -261,8 +256,8 @@ first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
                 found = 1;
                 break;
             }
-            if (!covered(&fc, d))
-                remember(&fc, d);
+            /* d contains mask, which no entry contains, so d is new */
+            remember(&fc, d);
         }
         count--;
         if (!advance(comb, n, k))

@@ -91,9 +91,8 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     if (len(c) != k or c[0] < 0 or c[-1] >= n
             or any(a >= b for a, b in zip(c, c[1:]))):
         raise ValueError("start must be k strictly increasing vertices in 0..n-1")
-    explored = 0
+    explored = stores = 0
     failed: list[int] = []
-    slot = 0
     while count != 0:
         mask = 0
         for i in c:
@@ -106,12 +105,13 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
             d = closure(adj, n, mask)
             if d == full:
                 return mask, explored
-            if not any(d & ~e == 0 for e in failed):
-                if len(failed) < _CACHE_CAP:
-                    failed.append(d)
-                else:
-                    failed[slot % _CACHE_CAP] = d
-                    slot += 1
+            # d contains mask, which no entry contains, so d is new: store
+            # it, overwriting the ring slot `stores % _CACHE_CAP` once full
+            if stores < _CACHE_CAP:
+                failed.append(d)
+            else:
+                failed[stores % _CACHE_CAP] = d
+            stores += 1
         count -= 1
         if not _advance(c, n, k):
             break

@@ -22,6 +22,8 @@ from .graph import (
     ParseError,
     SizeLimitError,
     VertexSet,
+    cartesian_product,
+    complete_graph,
     family,
     parse_edge_list,
     parse_graph6,
@@ -36,7 +38,6 @@ from .search import (
     zero_forcing_number,
 )
 from .witness import (
-    RANK_TOL,
     DegenerateParameters,
     WitnessError,
     build_h43_witness,
@@ -77,7 +78,7 @@ def _load_graph(args) -> Graph:
         with open(args.edges) as fh:
             return parse_edge_list(fh.read())
     name, *params = args.family
-    return family(name, [int(p) for p in params])
+    return family(name, params)
 
 
 def _one_based(vs: VertexSet) -> list[int]:
@@ -124,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     tcg.add_argument("--tree-family", nargs="+", metavar=("NAME", "PARAM"))
     tc.add_argument("--r", type=int, required=True, help="clique size")
     tc.add_argument("--out", metavar="FILE", help="write the matrix here")
-    tc.add_argument("--tol", type=float, default=RANK_TOL)
     tc.add_argument("--json", action="store_true")
     h43 = wsub.add_parser("h43", help="complex rank-3 witness for the "
                                       "3-wheel with 4 hubs")
@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     h43.add_argument("--root", default="omega",
                      help="omega, omega-bar, or real (rejected with a reason)")
     h43.add_argument("--out", metavar="FILE")
-    h43.add_argument("--tol", type=float, default=RANK_TOL)
     h43.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reproduce", help="run the reproduction suite")
@@ -226,12 +225,10 @@ def cmd_witness(args) -> int:
             t = parse_graph6(args.tree)
         else:
             name, *params = args.tree_family
-            t = family(name, [int(p) for p in params])
+            t = family(name, params)
         a = build_tree_clique_witness(t, args.r)
-        from .graph import cartesian_product, complete_graph
-
         prod = cartesian_product(t, complete_graph(args.r))
-        rank = numeric_rank(a, args.tol)
+        rank = numeric_rank(a)
         stats = {
             "order": a.shape[0],
             "rank": rank,
@@ -243,7 +240,7 @@ def cmd_witness(args) -> int:
     else:
         a = build_h43_witness(args.a15_6, args.a3_12, args.a3_14, args.root)
         s = singular_values(a)
-        rank = numeric_rank(a, args.tol)
+        rank = numeric_rank(a)
         stats = {
             "order": 8,
             "rank": rank,

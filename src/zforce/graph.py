@@ -393,8 +393,11 @@ PINWHEEL12_EDGES = (
 )
 
 
-def family(name: str, params: list[int] | tuple[int, ...] = ()) -> Graph:
-    """Build a named family member; see FAMILY_NAMES for the accepted names."""
+def family(name: str, params=()) -> Graph:
+    """Build a named family member; see FAMILY_NAMES for the accepted names.
+
+    Each parameter goes through int(), so the CLI passes its strings as is.
+    """
     params = tuple(int(p) for p in params)
     try:
         builder = _FAMILIES[name]

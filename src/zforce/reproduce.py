@@ -19,15 +19,10 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 
 from ._small_graphs import CONNECTED_ATLAS, TREES
-from .bounds import clique_cover_number, path_cover_number
+from .bounds import bounds_report, path_cover_number
 from .forcing import derived_set, is_forcing_set, reversal
-from .graph import Graph, cartesian_product, family, parse_graph6
-from .search import (
-    all_minimum_zfs,
-    min_degree,
-    os_number_bruteforce,
-    zero_forcing_number,
-)
+from .graph import Graph, InvariantViolation, cartesian_product, family, parse_graph6
+from .search import all_minimum_zfs, maximum_os_set, zero_forcing_number
 from .witness import (
     H43_SUPPORT,
     build_h43_witness,
@@ -125,16 +120,12 @@ def random_connected_graphs(count: int, orders):
 
 
 def criterion_pinwheel(max_n=None) -> CriterionResult:
-    g = family("pinwheel12")
-    z = zero_forcing_number(g, "standard").value
-    zp = zero_forcing_number(g, "psd").value
-    p = path_cover_number(g).number
-    cc = clique_cover_number(g).number
+    r = bounds_report(family("pinwheel12"))
     checks = [
-        (z == 4, f"Z expected 4, computed {z}"),
-        (zp == 3, f"Z+ expected 3, computed {zp}"),
-        (p == 3, f"P expected 3, computed {p}"),
-        (cc == 9, f"cc expected 9, computed {cc}"),
+        (r.z == 4, f"Z expected 4, computed {r.z}"),
+        (r.zplus == 3, f"Z+ expected 3, computed {r.zplus}"),
+        (r.path_cover == 3, f"P expected 3, computed {r.path_cover}"),
+        (r.clique_cover == 9, f"cc expected 9, computed {r.clique_cover}"),
     ]
     return _result("pinwheel", checks)
 
@@ -168,7 +159,7 @@ def criterion_duality(max_n=8) -> CriterionResult:
     sampled = len(graphs) - exhaustive
     bad = 0
     for g in graphs:
-        if os_number_bruteforce(g) + zero_forcing_number(g, "psd").value != g.n:
+        if len(maximum_os_set(g)) + zero_forcing_number(g, "psd").value != g.n:
             bad += 1
     checks = [
         (bad == 0, f"OS + Z+ = n on {exhaustive} connected classes (n <= "
@@ -224,11 +215,9 @@ def criterion_sandwich(max_n=8) -> CriterionResult:
         graphs += random_connected_graphs(200, orders)
     bad = 0
     for g in graphs:
-        z = zero_forcing_number(g, "standard").value
-        zp = zero_forcing_number(g, "psd").value
-        pc = path_cover_number(g).number
-        cc = clique_cover_number(g).number
-        if not (min_degree(g) <= zp <= z and pc <= z and g.n - cc <= zp):
+        try:  # checks the chain and the cover witnesses
+            bounds_report(g)
+        except InvariantViolation:
             bad += 1
     checks = [
         (bad == 0, f"delta <= Z+ <= Z, P <= Z, n - cc <= Z+ on "
@@ -238,14 +227,10 @@ def criterion_sandwich(max_n=8) -> CriterionResult:
 
 
 def criterion_mobius(max_n=None) -> CriterionResult:
-    from .bounds import bounds_report
-
-    g = family("mobius_ladder", [8])
-    zp = zero_forcing_number(g, "psd").value
-    report = bounds_report(g)
+    report = bounds_report(family("mobius_ladder", [8]))
     note = next((s for s in report.notes if "hM+" in s), "")
     checks = [
-        (zp == 4, f"Z+(ML8) expected 4, computed {zp}"),
+        (report.zplus == 4, f"Z+(ML8) expected 4, computed {report.zplus}"),
         ("hM+ = 3" in note and ">" in note,
          f"report records the literature gap Z+ > hM+ = 3: {note!r}"),
     ]

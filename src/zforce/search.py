@@ -279,11 +279,6 @@ def verify_os_set(g: Graph, s: OsSet) -> OsCheck:
     return OsCheck(True)
 
 
-def os_number_bruteforce(g: Graph) -> int:
-    """Exact OS number by subset dynamic programming."""
-    return len(maximum_os_set(g))
-
-
 def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
     """A maximum OS-set (with witnesses), reconstructed from the subset DP.
 

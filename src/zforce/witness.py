@@ -38,15 +38,15 @@ class PatternCheck:
         return self.ok
 
 
-def numeric_rank(a: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Number of singular values above tol times the largest one."""
+def numeric_rank(a: np.ndarray) -> int:
+    """Number of singular values above RANK_TOL times the largest one."""
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int((s > tol * s[0]).sum())
+    return int((s > RANK_TOL * s[0]).sum())
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -90,6 +90,9 @@ def test_exit_code_bad_workers(capsys):
     ("bounds", "--family", "path", "3", "--workers", "2"),
     ("bounds", "--family", "path", "3", "--search-limit", "30"),
     ("reproduce", "--workers", "2"),
+    ("witness", "tree-clique", "--tree-family", "path", "2", "--r", "2",
+     "--tol", "1e-6"),
+    ("witness", "h43", "--tol", "1e-6"),
 ])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -203,3 +206,13 @@ def test_reproduce_list(capsys):
 def test_family_with_bad_params(capsys):
     code, _, err = run(capsys, "param", "--family", "cycle", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (("param", "--family", "cycle", "x"), "x"),
+    (("witness", "tree-clique", "--tree-family", "path", "2.5", "--r", "2"), "2.5"),
+])
+def test_family_with_non_integer_param(argv, bad, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid literal for int() with base 10: {bad!r}\n"

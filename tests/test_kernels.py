@@ -125,6 +125,14 @@ class TestCompiledTwin:
             assert kc.first_forcing_lex(g.adj, g.n, k, True, start, chunk) == \
                 kpy.first_forcing_lex(g.adj, g.n, k, True, start, chunk)
 
+    def test_ring_overwrites_slot_zero_first(self, kc):
+        # a chunk of G18's psd level 6 whose closure count moves when the
+        # full ring is overwritten from slot 1 instead of slot 0
+        g = random_graph(random.Random(2), 18, 0.35)
+        for mod in (kc, kpy):
+            assert mod.first_forcing_lex(
+                g.adj, g.n, 6, True, (0, 1, 9, 13, 15, 16), 581) == (None, 493)
+
     def test_compiled_rejects_oversized(self, kc):
         with pytest.raises(ValueError):
             kc.closure_standard([0] * 65, 65, 0)

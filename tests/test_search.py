@@ -29,8 +29,8 @@ from zforce import (
     is_psd,
     maximum_os_set,
     min_zfs_intersection,
+    numeric_rank,
     os_from_psd_set,
-    os_number_bruteforce,
     path_cover_number,
     pattern_matches,
     psd_set_from_os,
@@ -403,14 +403,14 @@ class TestOsSets:
         assert not oob and "range" in oob.reason
 
     def test_os_number_examples(self):
-        assert os_number_bruteforce(family("path", [2])) == 1
-        assert os_number_bruteforce(family("mobius_ladder", [8])) == 4
+        assert len(maximum_os_set(family("path", [2]))) == 1
+        assert len(maximum_os_set(family("mobius_ladder", [8]))) == 4
 
     def test_duality_on_random_graphs(self):
         rng = random.Random(47)
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6]))
-            assert os_number_bruteforce(g) + zero_forcing_number(g, "psd").value == g.n
+            assert len(maximum_os_set(g)) + zero_forcing_number(g, "psd").value == g.n
 
     def test_maximum_os_set_verifies(self):
         g = family("mobius_ladder", [8])
@@ -476,7 +476,7 @@ class TestOsSets:
 
     def test_os_size_guard(self):
         with pytest.raises(SizeLimitError):
-            os_number_bruteforce(family("cycle", [9]))
+            maximum_os_set(family("cycle", [9]))
         assert len(maximum_os_set(family("cycle", [9]), limit=9)) == 7
 
     def test_duality_and_construction_on_disconnected_graphs(self):
@@ -486,7 +486,7 @@ class TestOsSets:
             b = random_graph(rng, rng.randint(1, 4))
             g = disjoint_union(a, b)
             zp = zero_forcing_number(g, "psd").value
-            assert os_number_bruteforce(g) + zp == g.n
+            assert len(maximum_os_set(g)) + zp == g.n
             s = os_from_psd_set(g, zero_forcing_number(g, "psd").best)
             assert len(s) == g.n - zp and verify_os_set(g, s)
 
@@ -513,7 +513,7 @@ REMOVED_PARAMETERS = [
     (build_tree_clique_witness, (family("path", [2]), 2), "alpha_schedule"),
     (certificate, (derived_set(P3, VertexSet.of(3, [0])),), "one_based"),
     (min_zfs_intersection, (P3,), "limit"),
-    (os_number_bruteforce, (P3,), "limit"),
+    (numeric_rank, (np.eye(2),), "tol"),
     (random_connected_graphs, (1, [3]), "seed"),
 ]
 
