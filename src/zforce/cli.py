@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-limit", type=int, default=None,
                    help=f"override the exact-search guard ({DEFAULT_SEARCH_LIMIT}; "
                         f"{DEFAULT_ALL_MIN_LIMIT} for --all-min)")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("bounds", help="path cover, clique cover, nullity bounds "
                                       "(n <= 16, at most 40 edges)")
@@ -147,14 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_param(args) -> int:
     g = _load_graph(args)
-    limit = args.search_limit if args.search_limit is not None else DEFAULT_SEARCH_LIMIT
-    all_min_limit = (args.search_limit if args.search_limit is not None
-                     else DEFAULT_ALL_MIN_LIMIT)
-    # the enumeration's tighter guard refuses before the Z search runs; with
-    # one worker the search below then reuses the enumeration's, through the
-    # scan memo, while a pool searches again
-    sets = all_minimum_zfs(g, args.rule, limit=all_min_limit) if args.all_min else None
-    res = zero_forcing_number(g, args.rule, limit=limit, workers=args.workers)
+    limit = {} if args.search_limit is None else {"limit": args.search_limit}
+    # the enumeration's tighter guard refuses before the Z search runs, and
+    # the search below then reuses the enumeration's through the scan memo
+    sets = all_minimum_zfs(g, args.rule, **limit) if args.all_min else None
+    res = zero_forcing_number(g, args.rule, **limit)
     sets = sets or [res.best]
     if args.json:
         payload = {

@@ -5,10 +5,11 @@ its own, by k-subsets in lexicographic order from a lower bound up: the
 first hit is an optimum and the lexicographically smallest one.  The lower
 bounds follow the chain delta <= Z+ <= Z: the psd scan starts at the
 minimum degree and the standard scan continues from the Z+ value found.
-A serial component scan runs once per process: its result is kept in a
-memo of the last _SCAN_MEMO components, keyed by kernel backend, component
-graph and rule, so a psd query followed by a standard query on the same
-graph, in either order, reuses the psd scan.  Pooled searches bypass it.
+A component scan runs once per process: its result is kept in a memo of
+the last _SCAN_MEMO components, keyed by component graph and rule, so a psd
+query followed by a standard query on the same graph, in either order,
+reuses the psd scan.  The process pool of `workers=`, for library callers
+only, is imported on demand and bypasses the memo.
 The OS number is computed by dynamic programming over reachable vertex
 subsets and tied to Z+ by the duality OS(G) + Z+(G) = |G|.
 """
@@ -18,8 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import kernels
@@ -74,6 +73,8 @@ class OsCheck:
 
 
 def _guard(n: int, limit: int, what: str):
+    if not isinstance(limit, int):
+        raise GraphError(f"{what}: limit must be an integer, got {limit!r}")
     if n > limit:
         raise SizeLimitError(
             f"{what} refused for n={n} > limit {limit}; raise it with limit= "
@@ -95,40 +96,42 @@ def zero_forcing_number(
     """Exact Z(G) (rule="standard") or Z+(G) (rule="psd") with one optimum set.
 
     The optimum set is the lexicographically smallest one, assembled from
-    the per-component optima.  `workers` must be at least 1 and is capped
-    at the CPU count; the value and the set do not depend on it, but
-    `nodes_explored` does, because each worker's range starts with an empty
-    failed-closure cache.
+    the per-component optima.  Each component is scanned once per process
+    and kept in a memo of _SCAN_MEMO entries; `nodes_explored` reports the
+    closures the scans cost, as in a fresh process, either way.
 
-    A serial search (one worker) scans each component once per process and
-    keeps the result in a memo of _SCAN_MEMO entries; `nodes_explored`
-    reports the closures the scans cost, as in a fresh process, whether or
-    not the memo answered.  Pooled searches neither read nor fill the memo.
+    `workers` (library only; at least 1, capped at the CPU count) splits
+    each subset space over a process pool, imported on demand, that
+    bypasses the memo.  The value and the set do not depend on it, but
+    `nodes_explored` does: each worker's range starts with an empty
+    failed-closure cache.
     """
     _check_rule(rule)
-    workers = _pool_size(workers, os.cpu_count() if workers > 1 else 1)
+    pooled = isinstance(workers, int) and workers > 1
+    workers = _pool_size(workers, os.cpu_count() if pooled else 1)
     _guard(g.n, limit, f"zero_forcing_number({rule})")
+    parts = [(g, range(g.n)) if len(comp) == g.n else induced(g, comp)
+             for comp in components(g, VertexSet.full(g.n))]
+    if workers == 1:
+        scans = [_serial_scan(sub, rule) for sub, _ in parts]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        # One pool for every component, scan and k; it forks on first use.
+        with ProcessPoolExecutor(workers) as pool:
+            scans = [_scan(sub, rule, workers, pool) for sub, _ in parts]
     total = mask = nodes = 0
-    # One pool for every component, scan and k; it forks on first use.
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for comp in components(g, VertexSet.full(g.n)):
-            sub, idx = (g, range(g.n)) if len(comp) == g.n else induced(g, comp)
-            if pool is None:
-                value, submask, explored = _serial_scan(
-                    kernels._impl(sub.n), sub, rule)
-            else:
-                value, submask, explored = _scan(sub, rule, workers, pool)
-            total += value
-            nodes += explored
-            for v in _bits(submask):
-                mask |= 1 << idx[v]
+    for (_, idx), (value, submask, explored) in zip(parts, scans):
+        total += value
+        nodes += explored
+        for v in _bits(submask):
+            mask |= 1 << idx[v]
     return SearchResult(rule, total, VertexSet(g.n, mask), nodes)
 
 
 def _pool_size(workers: int, cpu_count: int | None) -> int:
     """Worker processes to use for a requested count: 1 .. cpu_count."""
-    if workers < 1:
-        raise GraphError(f"workers must be at least 1, got {workers}")
+    if not isinstance(workers, int) or workers < 1:
+        raise GraphError(f"workers must be an integer of at least 1, got {workers!r}")
     return min(workers, cpu_count or 1)
 
 
@@ -148,15 +151,13 @@ def _scan(sub: Graph, rule: str, workers: int, pool, psd=None):
 
 
 @functools.lru_cache(maxsize=_SCAN_MEMO)
-def _serial_scan(impl, sub: Graph, rule: str):
-    """`_scan` without a pool, memoised.
+def _serial_scan(sub: Graph, rule: str):
+    """`_scan` without a pool, memoised; the graph's order fixes the backend.
 
-    `impl`, the kernel backend that runs it, is part of the key only, so
-    each backend keeps its own entries.  The standard scan starts from the
-    memoised psd scan, so a psd query and a standard query on one graph
-    share it in either order.
+    The standard scan starts from the memoised psd scan, so a psd query and
+    a standard query on one graph share it in either order.
     """
-    psd = _serial_scan(impl, sub, "psd") if rule == "standard" else None
+    psd = _serial_scan(sub, "psd") if rule == "standard" else None
     return _scan(sub, rule, 1, None, psd)
 
 

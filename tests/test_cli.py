@@ -81,11 +81,6 @@ def test_exit_code_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
-def test_exit_code_bad_workers(capsys):
-    code, _, err = run(capsys, "param", "--family", "path", "3", "--workers", "0")
-    assert code == 2 and "workers" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("bounds", "--family", "path", "3", "--workers", "2"),
     ("bounds", "--family", "path", "3", "--search-limit", "30"),
@@ -93,6 +88,7 @@ def test_exit_code_bad_workers(capsys):
     ("witness", "tree-clique", "--tree-family", "path", "2", "--r", "2",
      "--tol", "1e-6"),
     ("witness", "h43", "--tol", "1e-6"),
+    ("param", "--family", "path", "3", "--workers", "2"),
 ])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from zforce import Graph, cartesian_product, family, kernels, zero_forcing_number
+from zforce import Graph, cartesian_product, family, kernels, search, zero_forcing_number
 from zforce import _kernels_py as kpy
 from zforce.search import _unrank
 
@@ -182,6 +182,7 @@ def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_mem
     runs = {}
     for backend in (kc, None):
         monkeypatch.setattr(kernels, "_c", backend)
+        search._serial_scan.cache_clear()
         name = kernels.backend_name(12)
         runs[name] = [
             (r.value, r.best, r.nodes_explored)
@@ -190,7 +191,7 @@ def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_mem
         ]
     assert set(runs) == {"compiled", "pure-python"}
     assert runs["compiled"] == runs["pure-python"]
-    # the memo is keyed by backend, so each backend ran its own scans
+    # the memo was cleared between backends, so each backend ran its own scans
     assert calls.count("compiled") == calls.count("pure-python") > 0
 
 

@@ -5,8 +5,13 @@ subset with plain Python sets; frozen expected values in the examples were
 computed with it.
 """
 
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +251,32 @@ class TestZeroForcingNumber:
         with pytest.raises(GraphError):
             zero_forcing_number(family("path", [3]), workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+    def test_non_integer_workers_are_rejected(self, workers):
+        with pytest.raises(GraphError, match="workers must be an integer"):
+            zero_forcing_number(family("path", [3]), workers=workers)
+
+    @pytest.mark.parametrize("search,limit", [
+        (zero_forcing_number, "30"), (maximum_os_set, None)])
+    def test_non_integer_limit_is_rejected(self, search, limit):
+        with pytest.raises(GraphError, match="limit must be an integer"):
+            search(family("path", [3]), limit=limit)
+
+    def test_import_leaves_the_process_pool_out(self):
+        code = (
+            "import sys\n"
+            "import zforce, zforce.cli, zforce.reproduce\n"
+            "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n"
+        )
+        src = str(Path(zforce.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_edgeless_needs_everything(self):
         g = Graph(4, [0, 0, 0, 0])
         assert zero_forcing_number(g).value == 4
@@ -270,7 +301,7 @@ def use_in_process_pool(monkeypatch) -> list[int]:
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(zforce.search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
     monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 4)
     return built
