@@ -14,7 +14,6 @@ from .bounds import (
     path_cover_number,
 )
 from .forcing import (
-    ChainDecomposition,
     Force,
     ForceLog,
     certificate,
@@ -37,10 +36,9 @@ from .graph import (
     induced,
     parse_edge_list,
     parse_graph6,
-    read_graph6_file,
     write_graph6,
 )
-from .kernels import HAVE_COMPILED, backend_name
+from .kernels import backend_name
 from .search import (
     OsCheck,
     OsSet,

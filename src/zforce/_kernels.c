@@ -148,20 +148,20 @@ comb_mask(const int *c, int k)
 }
 
 /* The failed-closure cache, stored by vertex: bit i of col[v] is set when
- * entry i holds v, and bit i of filled when entry i is in use.  entry[] keeps
- * each entry as a mask too, so that replacing one clears only its vertices.
- * stores counts the entries written so far. */
+ * entry i holds v.  entry[] keeps each entry as a mask too, so that replacing
+ * one clears only its vertices.  stores counts the entries written so far. */
 typedef struct {
-    u64 col[MAX_N], entry[CACHE_CAP], filled;
+    u64 col[MAX_N], entry[CACHE_CAP];
     long long stores;
 } FailedCache;
 
 /* Whether m is a subset of some entry: the AND of the columns of m's
- * vertices, stopping as soon as no entry is left. */
+ * vertices, stopping as soon as no entry is left.  An unwritten entry holds
+ * no vertex, so the first column drops it; m is never empty (k >= 1). */
 static int
 covered(const FailedCache *fc, u64 m)
 {
-    u64 hit = fc->filled;
+    u64 hit = ~(u64)0;
     for (; m && hit; m &= m - 1)
         hit &= fc->col[lowbit(m)];
     return hit != 0;
@@ -179,7 +179,6 @@ remember(FailedCache *fc, u64 d)
     for (u64 m = d & ~fc->entry[i]; m; m &= m - 1)
         fc->col[lowbit(m)] |= bit;
     fc->entry[i] = d;
-    fc->filled |= bit;
 }
 
 static PyObject *
@@ -214,7 +213,7 @@ first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
     int n, k, psd, comb[MAX_N], found = 0;
     long long count = -1, explored = 0;
     u64 rows[MAX_N], full, mask = 0;
-    FailedCache fc = {{0}, {0}, 0, 0};
+    FailedCache fc = {{0}, {0}, 0};
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oiip|OL", kwlist, &adj, &n,
                                      &k, &psd, &start, &count)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graph import Graph, GraphError, VertexSet, components
+from .graph import Graph, GraphError, VertexSet, _check_order, components
 
 RULES = ("standard", "psd")
 
@@ -28,17 +28,17 @@ def _check_rule(rule: str):
 
 @dataclass(frozen=True)
 class Force:
-    """One application of a color change rule: forcer -> forced at `step`."""
+    """One application of the log's color change rule: forcer -> forced."""
 
-    rule: str
     forcer: int
     forced: int
-    step: int
     component: VertexSet | None = None  # white component of `forced`, psd only
 
 
 @dataclass(frozen=True)
 class ForceLog:
+    """Canonical forces from `initial`; a force's step is its 1-based position."""
+
     initial: VertexSet
     rule: str
     forces: tuple[Force, ...]
@@ -48,36 +48,20 @@ class ForceLog:
         return self.derived.mask == (1 << self.derived.n) - 1
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
-    """Maximal forcing chains of a complete standard log (partition of V)."""
-
-    chains: tuple[tuple[int, ...], ...]
-
-
 def derived_set(g: Graph, initial: VertexSet, rule: str = "standard") -> ForceLog:
     """Run the rule to its fixpoint, recording the canonical force list."""
     _check_rule(rule)
+    _check_order(g, initial)
     black = initial.mask
     full = (1 << g.n) - 1
     forces = []
-    step = 1
     while black != full:
         hit = _first_force(g, black, rule)
         if hit is None:
             break
         u, w, comp = hit
-        forces.append(
-            Force(
-                rule,
-                u,
-                w,
-                step,
-                VertexSet(g.n, comp) if rule == "psd" else None,
-            )
-        )
+        forces.append(Force(u, w, VertexSet(g.n, comp) if rule == "psd" else None))
         black |= 1 << w
-        step += 1
     return ForceLog(initial, rule, tuple(forces), VertexSet(g.n, black))
 
 
@@ -117,11 +101,14 @@ def derived_mask(g: Graph, black: int, rule: str = "standard") -> int:
 
 
 def is_forcing_set(g: Graph, s: VertexSet, rule: str = "standard") -> bool:
+    _check_order(g, s)
     return derived_mask(g, s.mask, rule) == (1 << g.n) - 1
 
 
-def chains(log: ForceLog) -> ChainDecomposition:
-    """Maximal forcing chains of a complete standard-rule log."""
+def chains(log: ForceLog) -> tuple[tuple[int, ...], ...]:
+    """Maximal forcing chains of a complete standard-rule log, one tuple per
+    initial vertex in ascending order, from that vertex to the chain's end.
+    Together they partition the vertex set."""
     if log.rule != "standard":
         raise GraphError("forcing chains are defined for the standard rule only")
     if not log.is_complete():
@@ -137,13 +124,12 @@ def chains(log: ForceLog) -> ChainDecomposition:
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
         out.append(tuple(chain))
-    return ChainDecomposition(tuple(out))
+    return tuple(out)
 
 
 def reversal(log: ForceLog) -> VertexSet:
     """Set of last vertices of the maximal chains; same size as the initial set."""
-    decomp = chains(log)
-    return VertexSet.of(log.initial.n, (c[-1] for c in decomp.chains))
+    return VertexSet.of(log.initial.n, (c[-1] for c in chains(log)))
 
 
 def certificate(log: ForceLog) -> str:
@@ -154,8 +140,8 @@ def certificate(log: ForceLog) -> str:
         f"rule {log.rule}",
         "initial " + " ".join(str(v + 1) for v in sorted(log.initial)),
     ]
-    for f in log.forces:
-        line = f"{f.step} {f.forcer + 1} -> {f.forced + 1}"
+    for step, f in enumerate(log.forces, start=1):
+        line = f"{step} {f.forcer + 1} -> {f.forced + 1}"
         if f.component is not None:
             line += " [" + " ".join(str(v + 1) for v in sorted(f.component)) + "]"
         lines.append(line)

@@ -44,6 +44,8 @@ class VertexSet:
     mask: int = 0
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError(f"vertex set order {self.n} is negative")
         if self.mask < 0 or self.mask >> self.n:
             raise GraphError(f"mask {self.mask:#x} has bits outside 0..{self.n - 1}")
 
@@ -141,14 +143,6 @@ class Graph:
 
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(
-            self.n,
-            [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)],
-            name=f"complement({self.name})" if self.name else "",
-        )
 
     def is_connected(self) -> bool:
         comps = components(self, VertexSet.full(self.n))
@@ -260,16 +254,6 @@ def _write_order(n: int) -> str:
     return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
 
 
-def read_graph6_file(path: str) -> list[Graph]:
-    graphs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
-    return graphs
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the `u v` per line edge format (1-based labels, as printed).
 
@@ -305,11 +289,17 @@ def parse_edge_list(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _check_order(g: Graph, s: VertexSet):
+    if s.n != g.n:
+        raise GraphError(f"vertex set of order {s.n} given for a graph of order {g.n}")
+
+
 def components(g: Graph, within: VertexSet) -> list[VertexSet]:
     """Connected components of the subgraph induced on `within`.
 
     Returned in ascending order of their smallest vertex.
     """
+    _check_order(g, within)
     remaining = within.mask
     comps = []
     while remaining:
@@ -341,6 +331,7 @@ def induced(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:
 
     Vertices are relabeled 0..|w|-1 by ascending original id.
     """
+    _check_order(g, w)
     verts = sorted(w)
     if not verts:
         raise GraphError("cannot induce on the empty vertex set")

@@ -15,8 +15,6 @@ try:
 except ImportError:
     _c = None
 
-HAVE_COMPILED = _c is not None
-
 
 def backend_name(n: int = 1) -> str:
     return "compiled" if (_c is not None and n <= 64) else "pure-python"

@@ -243,9 +243,9 @@ def os_from_psd_set(g: Graph, x: VertexSet) -> OsSet:
     Forced vertices are emitted in reverse chronological order; the witness
     of each is the vertex that forced it.
     """
-    if not is_forcing_set(g, x, "psd"):
-        raise GraphError("x is not a psd forcing set")
     log = derived_set(g, x, "psd")
+    if not log.is_complete():
+        raise GraphError("x is not a psd forcing set")
     order = tuple(f.forced for f in reversed(log.forces))
     wits = tuple(f.forcer for f in reversed(log.forces))
     out = OsSet(order, wits)

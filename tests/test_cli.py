@@ -47,6 +47,46 @@ def test_param_certificate(capsys):
     assert "rule standard" in out and "1 1 -> 2" in out
 
 
+PINWHEEL_CERTIFICATES = {
+    "standard": """\
+Z = 4  (n = 12, 130 closures)
+  {1, 2, 6, 8}
+rule standard
+initial 1 2 6 8
+1 2 -> 3
+2 3 -> 5
+3 1 -> 4
+4 5 -> 7
+5 7 -> 9
+6 6 -> 10
+7 4 -> 12
+8 10 -> 11
+""",
+    "psd": """\
+Z+ = 3  (n = 12, 41 closures)
+  {1, 2, 6}
+rule psd
+initial 1 2 6
+1 2 -> 3 [3 4 5 7 8 9 10 11 12]
+2 3 -> 5 [4 5 7 8 9 10 11 12]
+3 1 -> 4 [4 10 11 12]
+4 5 -> 7 [7 8 9]
+5 6 -> 9 [8 9]
+6 6 -> 10 [10 11 12]
+7 4 -> 12 [11 12]
+8 7 -> 8 [8]
+9 10 -> 11 [11]
+""",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PINWHEEL_CERTIFICATES))
+def test_param_pinwheel_certificate_text(capsys, rule):
+    code, out, _ = run(capsys, "param", "--family", "pinwheel12", "--rule", rule,
+                       "--certificate")
+    assert code == 0 and out == PINWHEEL_CERTIFICATES[rule]
+
+
 def test_g6_file_input(tmp_path, capsys):
     path = tmp_path / "g.g6"
     path.write_text(write_graph6(family("cycle", [5])) + "\n")

@@ -11,10 +11,14 @@ from zforce import (
     VertexSet,
     certificate,
     chains,
+    components,
     derived_mask,
     derived_set,
     family,
+    induced,
     is_forcing_set,
+    kernels,
+    os_from_psd_set,
     reversal,
 )
 
@@ -29,7 +33,6 @@ class TestDerivedSet:
         g = family("path", [4])
         log = derived_set(g, VertexSet.of(4, [0]), "standard")
         assert [(f.forcer, f.forced) for f in log.forces] == [(0, 1), (1, 2), (2, 3)]
-        assert [f.step for f in log.forces] == [1, 2, 3]
         assert log.derived == VertexSet.full(4)
 
     def test_psd_any_tree_singleton_forces(self):
@@ -73,7 +76,6 @@ class TestDerivedSet:
                 assert len(set(forced)) == len(forced)
                 assert not any(v in init for v in forced)
                 assert log.derived.mask == init.mask | sum(1 << v for v in forced)
-                assert [f.step for f in log.forces] == list(range(1, len(forced) + 1))
                 for f in log.forces:
                     assert g.has_edge(f.forcer, f.forced)
                 if rule == "standard":
@@ -85,19 +87,19 @@ class TestChains:
     def test_path_single_chain(self):
         g = family("path", [5])
         log = derived_set(g, VertexSet.of(5, [0]))
-        assert chains(log).chains == ((0, 1, 2, 3, 4),)
+        assert chains(log) == ((0, 1, 2, 3, 4),)
 
     def test_all_black_gives_singletons(self):
         g = family("cycle", [4])
         log = derived_set(g, VertexSet.full(4))
-        assert chains(log).chains == ((0,), (1,), (2,), (3,))
+        assert chains(log) == ((0,), (1,), (2,), (3,))
 
     def test_pinwheel_four_chains(self):
         g = family("pinwheel12")
         log = derived_set(g, VertexSet.of(12, [0, 1, 5, 9]))
-        decomp = chains(log)
-        assert len(decomp.chains) == 4
-        assert sorted(v for c in decomp.chains for v in c) == list(range(12))
+        cs = chains(log)
+        assert len(cs) == 4
+        assert sorted(v for c in cs for v in c) == list(range(12))
 
     def test_chains_partition_and_induce_paths(self):
         rng = random.Random(13)
@@ -109,9 +111,9 @@ class TestChains:
                 continue
             found += 1
             log = derived_set(g, init)
-            decomp = chains(log)
+            cs = chains(log)
             seen = []
-            for c in decomp.chains:
+            for c in cs:
                 seen.extend(c)
                 for a, b in zip(c, c[1:]):
                     assert g.has_edge(a, b)
@@ -120,7 +122,7 @@ class TestChains:
                     for b in c[i + 2:]:
                         assert not g.has_edge(a, b)
             assert sorted(seen) == list(range(g.n))
-            assert {c[0] for c in decomp.chains} == set(init)
+            assert {c[0] for c in cs} == set(init)
 
     def test_rejects_psd_and_incomplete_logs(self):
         g = family("path", [4])
@@ -176,3 +178,20 @@ class TestCertificate:
         assert lines[1] == "initial 2"
         assert lines[2] == "1 2 -> 1 [1]"
         assert lines[3] == "2 2 -> 3 [3]"
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "pure-python"])
+def test_vertex_set_of_another_order_is_rejected(kc, monkeypatch, compiled):
+    monkeypatch.setattr(kernels, "_c", kc if compiled else None)
+    g = family("path", [3])
+    s = VertexSet(5, 0b11000)
+    calls = [lambda: components(g, s), lambda: induced(g, s),
+             lambda: os_from_psd_set(g, s)]
+    for rule in ("standard", "psd"):
+        calls += [lambda r=rule: derived_set(g, s, r),
+                  lambda r=rule: is_forcing_set(g, s, r)]
+    for call in calls:
+        with pytest.raises(GraphError, match="order 5 given for a graph of order 3"):
+            call()
+    with pytest.raises(GraphError, match="negative"):
+        VertexSet(-1, 0)

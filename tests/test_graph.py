@@ -72,13 +72,6 @@ class TestGraphType:
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
         assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
 
-    def test_complement_involution(self):
-        rng = random.Random(1)
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(1, 10))
-            assert g.complement().complement() == g
-        assert family("complete", [5]).complement().num_edges() == 0
-
 
 class TestFamilies:
     def test_path_cycle_complete(self):
@@ -307,12 +300,3 @@ class TestTextInputs:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-    def test_read_graph6_file(self, tmp_path):
-        from zforce import read_graph6_file, write_graph6
-
-        path = tmp_path / "graphs.g6"
-        gs = [family("path", [4]), family("cycle", [5]), family("complete", [3])]
-        path.write_text("\n".join(write_graph6(g) for g in gs) + "\n")
-        back = read_graph6_file(str(path))
-        assert [b.adj for b in back] == [g.adj for g in gs]

@@ -556,3 +556,17 @@ REMOVED_PARAMETERS = [
 def test_removed_parameters_are_rejected(fn, args, keyword):
     with pytest.raises(TypeError, match=keyword):
         fn(*args, **{keyword: 1})
+
+
+def test_removed_names_are_gone():
+    import dataclasses
+
+    import zforce
+    from zforce import Force, Graph, chains, forcing, graph, kernels
+
+    for owner, name in ((forcing, "ChainDecomposition"), (graph, "read_graph6_file"),
+                        (kernels, "HAVE_COMPILED"), (Graph, "complement")):
+        assert not hasattr(owner, name) and not hasattr(zforce, name), name
+    assert [f.name for f in dataclasses.fields(Force)] == ["forcer", "forced", "component"]
+    log = derived_set(P3, VertexSet.of(3, [0]))
+    assert chains(log) == ((0, 1, 2),)

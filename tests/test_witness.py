@@ -55,7 +55,7 @@ class TestNumericRank:
 
 class TestPatternChecks:
     def test_diagonal_matches_edgeless(self):
-        g = family("complete", [3]).complement()
+        g = Graph(3, [0, 0, 0])
         assert pattern_matches(np.diag([1.0, 2.0, 3.0]), g)
 
     def test_i_plus_j_matches_complete(self):
