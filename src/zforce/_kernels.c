@@ -9,6 +9,9 @@
  * twin's list, but stored by vertex (see FailedCache): col[v] has bit i set
  * when entry i holds v, so "is m inside some entry" is an AND over the bits
  * of m that stops at 0, not 64 compares.
+ *
+ * One closure loop serves both rules: the standard rule is the psd loop with
+ * one component, the whole white set.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -21,42 +24,28 @@ typedef uint64_t u64;
 
 #define lowbit(m) __builtin_ctzll(m)
 
+/* Batched rounds over the white components, as in the pure twin.  Under psd
+ * the BFS grows comp from the lowest white vertex and ORs its rows into nb,
+ * its neighbourhood; only black vertices in nb have a white neighbour in it,
+ * so only they can force. */
 static u64
-close_standard(const u64 *adj, u64 full, u64 black)
-{
-    u64 white = full & ~black;
-    while (white) {
-        u64 newly = 0;
-        for (u64 m = black; m; m &= m - 1) {
-            u64 t = adj[lowbit(m)] & white;
-            if (t && !(t & (t - 1)))
-                newly |= t;
-        }
-        if (!newly)
-            break;
-        black |= newly;
-        white &= ~newly;
-    }
-    return black;
-}
-
-/* Batched rounds over the white components, as in the pure twin.  The BFS
- * ORs the rows of the component into nb, its neighbourhood; only black
- * vertices in nb have a white neighbour in it, so only they can force. */
-static u64
-close_psd(const u64 *adj, u64 full, u64 black)
+close_mask(const u64 *adj, u64 full, u64 black, int psd)
 {
     for (;;) {
         u64 rem = full & ~black, newly = 0;
         while (rem) {
-            u64 comp = rem & -rem, frontier = comp, nb = 0;
-            while (frontier) {
-                u64 nxt = 0;
-                for (u64 f = frontier; f; f &= f - 1)
-                    nxt |= adj[lowbit(f)];
-                nb |= nxt;
-                frontier = nxt & rem & ~comp;
-                comp |= frontier;
+            u64 comp = rem, nb = ~(u64)0;
+            if (psd) {
+                u64 frontier = comp = rem & -rem;
+                nb = 0;
+                while (frontier) {
+                    u64 nxt = 0;
+                    for (u64 f = frontier; f; f &= f - 1)
+                        nxt |= adj[lowbit(f)];
+                    nb |= nxt;
+                    frontier = nxt & rem & ~comp;
+                    comp |= frontier;
+                }
             }
             rem &= ~comp;
             for (u64 m = black & nb; m; m &= m - 1) {
@@ -69,12 +58,6 @@ close_psd(const u64 *adj, u64 full, u64 black)
             return black;
         black |= newly;
     }
-}
-
-static u64
-close_mask(const u64 *adj, u64 full, u64 black, int psd)
-{
-    return psd ? close_psd(adj, full, black) : close_standard(adj, full, black);
 }
 
 /* Python int -> mask; ValueError unless 0 <= value <= full. */

@@ -3,7 +3,8 @@
 Reference implementation of the hot loops; works for any order because
 masks are plain Python ints.  The compiled twin in _kernels.c mirrors
 these semantics exactly (including the failed-closure cache policy, so
-node counts agree) for n <= 64.
+node counts agree) for n <= 64.  One closure loop serves both rules: the
+standard rule is the psd loop with one component, the whole white set.
 """
 
 from __future__ import annotations
@@ -13,41 +14,19 @@ from .graph import component_mask
 _CACHE_CAP = 64  # failed closures kept by first_forcing_lex
 
 
-def closure_standard(adj, n: int, black: int) -> int:
-    """Fixpoint of the standard color change rule from the given black mask."""
-    full = (1 << n) - 1
-    white = full & ~black
-    while white:
-        newly = 0
-        m = black
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            t = adj[u] & white
-            if t and t & (t - 1) == 0:
-                newly |= t
-        if not newly:
-            break
-        black |= newly
-        white &= ~newly
-    return black
-
-
-def closure_psd(adj, n: int, black: int) -> int:
-    """Fixpoint of the positive semidefinite color change rule.
+def closure(adj, n: int, black: int, psd: bool) -> int:
+    """Fixpoint of the psd rule if `psd`, else of the standard rule, from
+    the given black mask.
 
     Forces are applied in batched rounds (components recomputed per round);
     the fixpoint is the same as for one-force-at-a-time application.
     """
     full = (1 << n) - 1
     while True:
-        white = full & ~black
-        if not white:
-            return black
+        rem = full & ~black
         newly = 0
-        rem = white
         while rem:
-            comp = component_mask(adj, rem, (rem & -rem).bit_length() - 1)
+            comp = component_mask(adj, rem, (rem & -rem).bit_length() - 1) if psd else rem
             rem &= ~comp
             m = black
             while m:
@@ -59,6 +38,14 @@ def closure_psd(adj, n: int, black: int) -> int:
         if not newly:
             return black
         black |= newly
+
+
+def closure_standard(adj, n: int, black: int) -> int:
+    return closure(adj, n, black, False)
+
+
+def closure_psd(adj, n: int, black: int) -> int:
+    return closure(adj, n, black, True)
 
 
 def _advance(c: list[int], n: int, k: int) -> bool:
@@ -85,7 +72,6 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    closure = closure_psd if psd else closure_standard
     full = (1 << n) - 1
     c = list(range(k)) if start is None else list(start)
     if (len(c) != k or c[0] < 0 or c[-1] >= n
@@ -102,7 +88,7 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
                 break
         else:
             explored += 1
-            d = closure(adj, n, mask)
+            d = closure(adj, n, mask, psd)
             if d == full:
                 return mask, explored
             # d contains mask, which no entry contains, so d is new: store
@@ -122,7 +108,6 @@ def all_forcing_lex(adj, n, k, psd):
     """All forcing k-subsets as masks, in lexicographic order."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    closure = closure_psd if psd else closure_standard
     full = (1 << n) - 1
     out = []
     c = list(range(k))
@@ -130,7 +115,7 @@ def all_forcing_lex(adj, n, k, psd):
         mask = 0
         for i in c:
             mask |= 1 << i
-        if closure(adj, n, mask) == full:
+        if closure(adj, n, mask, psd) == full:
             out.append(mask)
         if not _advance(c, n, k):
             return out

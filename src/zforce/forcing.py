@@ -1,10 +1,10 @@
 """Color change rules: derived sets, canonical force logs, chains, reversals.
 
-Two rules are supported.  Under "standard", a black vertex u forces its
-unique white neighbor.  Under "psd", forcing is evaluated per connected
+Two rules are supported.  Under "psd", forcing is evaluated per connected
 component of the white subgraph: u forces w when w is u's only white
 neighbor inside W_i united with the black set, for the component W_i
-containing w.
+containing w.  "standard" is the same rule with one component, the whole
+white set: a black vertex u forces its unique white neighbor.
 
 The derived set is a unique fixpoint independent of force order; the
 logged order is made canonical (smallest forcer, then smallest target,
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graph import Graph, GraphError, VertexSet, _check_order, components
+from .graph import Graph, GraphError, VertexSet, _check_order, component_mask
 
 RULES = ("standard", "psd")
 
@@ -66,31 +66,23 @@ def derived_set(g: Graph, initial: VertexSet, rule: str = "standard") -> ForceLo
 
 
 def _first_force(g: Graph, black: int, rule: str):
-    """Smallest (forcer, target) valid force, or None at the fixpoint."""
+    """Smallest (forcer, target, target's component) valid force, or None
+    at the fixpoint.  w is a valid target of u when it is the only bit of
+    t = N(u) & white in its component, so trying t's bits in ascending
+    order, one per component, meets u's smallest valid target first."""
     white = ((1 << g.n) - 1) & ~black
-    if rule == "standard":
-        m = black
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            t = g.adj[u] & white
-            if t and t & (t - 1) == 0:
-                return u, t.bit_length() - 1, None
-        return None
-    comps = components(g, VertexSet(g.n, white))
-    best = None
+    psd = rule == "psd"
     m = black
     while m:
         u = (m & -m).bit_length() - 1
         m &= m - 1
-        for cs in comps:
-            t = g.adj[u] & cs.mask
-            if t and t & (t - 1) == 0:
-                w = t.bit_length() - 1
-                if best is None or w < best[1]:
-                    best = (u, w, cs.mask)
-        if best is not None:
-            return best
+        t = s = g.adj[u] & white
+        while s:
+            low = s & -s
+            comp = component_mask(g.adj, white, low.bit_length() - 1) if psd else white
+            if t & comp == low:
+                return u, low.bit_length() - 1, comp
+            s &= ~comp
     return None
 
 

@@ -9,6 +9,7 @@ are unambiguous.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ class WitnessError(RuntimeError):
 
 
 class DegenerateParameters(WitnessError):
-    """User-chosen free parameters produced a zero in a required-nonzero spot."""
+    """Free parameters that are zero, not finite, or zero a required entry."""
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,10 @@ def build_h43_witness(
 ) -> np.ndarray:
     """8x8 complex matrix with support H43_SUPPORT and numeric rank 3.
 
-    The three free parameters must be nonzero; every other entry is filled
-    by the frozen assignment chain below (evaluated in dependency order),
-    with the pivotal ratio a(7,4)/a(15,6) set to a primitive cube root of
-    unity.  Requesting a real root is rejected: min over real x of
+    The three free parameters must be finite and nonzero; every other entry
+    is filled by the frozen assignment chain below (evaluated in dependency
+    order), with the pivotal ratio a(7,4)/a(15,6) set to a primitive cube
+    root of unity.  Requesting a real root is rejected: min over real x of
     1 + x + x^2 is 3/4 > 0.
     """
     if root in ("real", "1", "-1"):
@@ -219,6 +220,8 @@ def build_h43_witness(
     if root not in _ROOTS:
         raise ValueError(f"root must be one of {sorted(_ROOTS)}")
     for name, p in (("a15_6", a15_6), ("a3_12", a3_12), ("a3_14", a3_14)):
+        if not cmath.isfinite(p):
+            raise DegenerateParameters(f"free parameter {name} must be finite")
         if p == 0:
             raise DegenerateParameters(f"free parameter {name} must be nonzero")
     w = _ROOTS[root]

@@ -198,6 +198,14 @@ def test_exit_code_witness_degenerate(capsys):
     assert code == 2 and "nonzero" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--a15-6", "--a3-12", "--a3-14"])
+def test_exit_code_witness_non_finite(capsys, flag, value):
+    code, _, err = run(capsys, "witness", "h43", flag, value)
+    name = flag[2:].replace("-", "_")
+    assert code == 2 and err == f"error: free parameter {name} must be finite\n"
+
+
 def test_witness_h43_writes_matrix(tmp_path, capsys):
     out_file = tmp_path / "w.mat"
     code, out, _ = run(capsys, "witness", "h43", "--out", str(out_file),

@@ -21,11 +21,47 @@ from zforce import (
     os_from_psd_set,
     reversal,
 )
+from zforce.reproduce import connected_graphs_upto
 
 
 def random_graph(rng, n, p=0.5):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def white_components(nbrs, white):
+    """Components of the white subgraph, by depth-first search on sets."""
+    parts, left = [], set(white)
+    while left:
+        part, todo = set(), [min(left)]
+        while todo:
+            v = todo.pop()
+            if v in left:
+                left.remove(v)
+                part.add(v)
+                todo.extend(nbrs[v])
+        parts.append(part)
+    return parts
+
+
+def reference_forces(g, initial, rule):
+    """Forces (forcer, forced, component) applied one at a time, read off the
+    rule definitions: black u forces w when w is u's only neighbour in a
+    white part (psd: a component of the white subgraph; standard: the whole
+    white set).  Of all valid forces the smallest (u, w) is applied."""
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    black = set(initial)
+    forces = []
+    while True:
+        white = set(range(g.n)) - black
+        parts = white_components(nbrs, white) if rule == "psd" else [white]
+        valid = [(u, min(nbrs[u] & part), part)
+                 for part in parts for u in black if len(nbrs[u] & part) == 1]
+        if not valid:
+            return forces
+        u, w, part = min(valid, key=lambda f: f[:2])
+        forces.append((u, w, part if rule == "psd" else None))
+        black.add(w)
 
 
 class TestDerivedSet:
@@ -81,6 +117,17 @@ class TestDerivedSet:
                 if rule == "standard":
                     forcers = [f.forcer for f in log.forces]
                     assert len(set(forcers)) == len(forcers)
+
+    @pytest.mark.parametrize("rule", ["standard", "psd"])
+    def test_log_matches_rule_definitions(self, rule):
+        for g in connected_graphs_upto(6):
+            for k in range(3):
+                for init in combinations(range(g.n), k):
+                    log = derived_set(g, VertexSet.of(g.n, init), rule)
+                    got = [(f.forcer, f.forced,
+                            None if f.component is None else set(f.component))
+                           for f in log.forces]
+                    assert got == reference_forces(g, init, rule), (g, init)
 
 
 class TestChains:

@@ -185,6 +185,12 @@ class TestH43Witness:
         with pytest.raises(DegenerateParameters):
             build_h43_witness(a15_6=0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), complex("nan")])
+    @pytest.mark.parametrize("name", ["a15_6", "a3_12", "a3_14"])
+    def test_non_finite_free_parameter_rejected(self, name, value):
+        with pytest.raises(DegenerateParameters, match=f"{name} must be finite"):
+            build_h43_witness(**{name: value})
+
     def test_pivotal_ratio_is_primitive_root(self):
         a = build_h43_witness(a15_6=2.0)
         # a(7,4) sits at row vertex 7, column vertex 4; a(15,6) at 15, 6
