@@ -59,6 +59,8 @@ def path_cover_number(g: Graph) -> PathCover:
 
     DP over vertex masks s: the lowest vertex v of s lies on a path of
     paths[v] (the induced paths through v in the vertices >= v) inside s.
+    solve(s) is the cover itself: the first fitting path, in table order,
+    whose rest s - p has the smallest cover, followed by that cover.
     """
     if g.n > PATH_COVER_LIMIT:
         raise SizeLimitError(
@@ -67,28 +69,20 @@ def path_cover_number(g: Graph) -> PathCover:
     paths = [_induced_paths_from(g.adj, v) for v in range(g.n)]
 
     @lru_cache(maxsize=None)
-    def solve(s: int) -> tuple[int, tuple[int, ...]]:
-        """(cover size, first chosen path) for the vertex mask s."""
+    def solve(s: int) -> tuple[tuple[int, ...], ...]:
         if s == 0:
-            return 0, ()
+            return ()
         best = None
         for pmask, order in paths[(s & -s).bit_length() - 1]:
             if not pmask & ~s:
-                size = solve(s & ~pmask)[0] + 1
-                if best is None or size < best[0]:
-                    best = (size, order)
+                rest = solve(s & ~pmask)
+                if best is None or len(rest) + 1 < len(best):
+                    best = (order,) + rest
         return best
 
-    cover, s = [], (1 << g.n) - 1
-    number = solve(s)[0]
-    while s:
-        _, order = solve(s)
-        cover.append(order)
-        s &= ~sum(1 << v for v in order)
-    if len(cover) != number:
-        raise InvariantViolation("path cover witness length differs from optimum")
+    cover = solve((1 << g.n) - 1)
     _check_path_cover(g, cover)
-    return PathCover(number, tuple(cover))
+    return PathCover(len(cover), cover)
 
 
 def _induced_paths_from(adj, v: int):
@@ -158,13 +152,14 @@ def clique_cover_number(g: Graph) -> CliqueCover:
     for c in cliques:
         cmask = sum(1 << v for v in c)
         edge_sets.append(_edge_mask(n, [cmask if v in c else 0 for v in range(n)]))
-    best: list = [edges + 1, None]
+    best = None
 
     def descend(uncovered: int, used: tuple[int, ...]):
+        nonlocal best
         if not uncovered:
-            best[0], best[1] = len(used), used
+            best = used
             return
-        if len(used) + 1 >= best[0]:
+        if best is not None and len(used) + 1 >= len(best):
             return
         e = uncovered & -uncovered
         for ci, es in enumerate(edge_sets):
@@ -172,9 +167,9 @@ def clique_cover_number(g: Graph) -> CliqueCover:
                 descend(uncovered & ~es, used + (ci,))
 
     descend(full, ())
-    witness = tuple(cliques[i] for i in best[1])
+    witness = tuple(cliques[i] for i in best)
     _check_clique_cover(g, witness)
-    return CliqueCover(best[0], witness)
+    return CliqueCover(len(witness), witness)
 
 
 def _edge_mask(n: int, rows) -> int:

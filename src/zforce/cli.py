@@ -3,17 +3,18 @@
 Subcommands: param, bounds, os, witness, reproduce.  Vertices are printed
 1-based to line up with the customary drawing labels; JSON output
 additionally carries the 0-based ids.  Exit codes: 0 ok, 1 reproduction
-failure, 2 bad input, 3 size-guard refusal, 4 internal invariant violation.
+failure, 2 bad input, 3 size-guard refusal, 4 internal invariant violation,
+141 stdout closed by the reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os.path
+import os
 import sys
 
-from .bounds import bounds_report
+from .bounds import CLIQUE_EDGE_LIMIT, PATH_COVER_LIMIT, bounds_report
 from .forcing import RULES, certificate, derived_set
 from .graph import (
     Graph,
@@ -51,6 +52,7 @@ EXIT_REPRODUCE_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_SIZE_GUARD = 3
 EXIT_INVARIANT = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def _add_input_args(p: argparse.ArgumentParser):
@@ -102,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_ALL_MIN_LIMIT} for --all-min)")
 
     p = sub.add_parser("bounds", help="path cover, clique cover, nullity bounds "
-                                      "(n <= 16, at most 40 edges)")
+                                      f"(n <= {PATH_COVER_LIMIT}, "
+                                      f"at most {CLIQUE_EDGE_LIMIT} edges)")
     _add_input_args(p)
     p.add_argument("--json", action="store_true")
 
@@ -123,9 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--json", action="store_true")
     h43 = wsub.add_parser("h43", help="complex rank-3 witness for the "
                                       "3-wheel with 4 hubs")
-    h43.add_argument("--a15-6", type=complex, default=1.0)
-    h43.add_argument("--a3-12", type=complex, default=1.0)
-    h43.add_argument("--a3-14", type=complex, default=1.0)
+    for flag in ("--a15-6", "--a3-12", "--a3-14"):
+        h43.add_argument(flag, type=complex, default=1.0,
+                         help="complex free parameter (default 1); write a "
+                              f"negative value as {flag}=-1j")
     h43.add_argument("--root", default="omega",
                      help="omega, omega-bar, or real (rejected with a reason)")
     h43.add_argument("--out", metavar="FILE")
@@ -286,7 +290,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the exit-time flush of what is still
+        # buffered to devnull instead of printing a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DegenerateParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -10,8 +10,8 @@ the last _SCAN_MEMO components, keyed by component graph and rule, so a psd
 query followed by a standard query on the same graph, in either order,
 reuses the psd scan.  The process pool of `workers=`, for library callers
 only, is imported on demand and bypasses the memo.
-The OS number is computed by dynamic programming over reachable vertex
-subsets and tied to Z+ by the duality OS(G) + Z+(G) = |G|.
+The OS number is computed by dynamic programming over vertex subsets and
+tied to Z+ by the duality OS(G) + Z+(G) = |G|.
 """
 
 from __future__ import annotations
@@ -281,52 +281,31 @@ def verify_os_set(g: Graph, s: OsSet) -> OsCheck:
 
 
 def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
-    """A maximum OS-set (with witnesses), reconstructed from the subset DP.
+    """A maximum OS-set (with witnesses), from a subset DP over the masks.
 
     A subset S is OS-orderable iff some v in S admits an outside witness
     against the component of v in G[S] and S - v is OS-orderable; that
-    criterion depends only on the set, so subsets are processed once.  Layer
-    k holds only the sets one vertex larger than an OS-orderable set of
-    size k - 1; each keeps the first v, ascending, that works.
+    criterion depends only on the set.  The masks run in increasing order,
+    so every S - v is settled before S, and each orderable S stores its
+    (v, w) steps: those of S - v for the first v, ascending, that works,
+    then (v, w).  The answer is the smallest mask of the largest size.
     """
     _guard(g.n, limit, "maximum_os_set")
-    full = (1 << g.n) - 1
-    parent: dict[int, tuple[int, int] | None] = {0: None}
-    layer = [0]
-    while True:
-        cands = set()
-        for t in layer:
-            out = full & ~t
-            while out:
-                low = out & -out
-                cands.add(t | low)
-                out ^= low
-        reached = []
-        for s in cands:
-            rest = s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if s ^ low not in parent:
-                    continue
+    steps: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
+    for s in range(1, 1 << g.n):
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prev = steps.get(s ^ low)
+            if prev is not None:
                 v = low.bit_length() - 1
                 w = _os_witness(g, s, v)
                 if w is not None:
-                    parent[s] = (v, w)
-                    reached.append(s)
+                    steps[s] = prev + ((v, w),)
                     break
-        if not reached:
-            break
-        layer = reached
-    order: list[int] = []
-    wits: list[int] = []
-    s = min(layer)
-    while s:
-        v, w = parent[s]
-        order.append(v)
-        wits.append(w)
-        s &= ~(1 << v)
-    return OsSet(tuple(reversed(order)), tuple(reversed(wits)))
+    best = steps[max(steps, key=lambda s: (s.bit_count(), -s))]
+    return OsSet(tuple(v for v, _ in best), tuple(w for _, w in best))
 
 
 def _os_witness(g: Graph, s: int, v: int):

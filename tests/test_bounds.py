@@ -24,6 +24,7 @@ from zforce import (
     zero_forcing_number,
 )
 from zforce.reproduce import connected_graphs_upto
+from test_search import disconnected_graphs
 
 
 def random_graph(rng, n, p=0.5):
@@ -171,7 +172,7 @@ class TestPathCover:
         graphs = connected_graphs_upto(6) + [
             random_graph(rng, rng.randint(7, 11), rng.choice([0.25, 0.4, 0.6]))
             for _ in range(40)
-        ]
+        ] + disconnected_graphs(random.Random(73), 11)
         for g in graphs:
             res = path_cover_number(g)
             assert (res.number, res.paths) == reference_path_cover(g)

@@ -1,6 +1,10 @@
 """CLI behavior: inputs, outputs, JSON round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,12 +202,19 @@ def test_exit_code_witness_degenerate(capsys):
     assert code == 2 and "nonzero" in err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 @pytest.mark.parametrize("flag", ["--a15-6", "--a3-12", "--a3-14"])
 def test_exit_code_witness_non_finite(capsys, flag, value):
-    code, _, err = run(capsys, "witness", "h43", flag, value)
+    # argparse reads a separate "-inf" as an option, so the "=" form is needed
+    code, _, err = run(capsys, "witness", "h43", f"{flag}={value}")
     name = flag[2:].replace("-", "_")
     assert code == 2 and err == f"error: free parameter {name} must be finite\n"
+
+
+def test_witness_negative_free_parameters(capsys):
+    code, out, _ = run(capsys, "witness", "h43", "--a15-6=-1j", "--a3-12=-1j",
+                       "--a3-14=-1j", "--json")
+    assert code == 0 and json.loads(out)["rank"] == 3
 
 
 def test_witness_h43_writes_matrix(tmp_path, capsys):
@@ -260,3 +271,25 @@ def test_family_with_non_integer_param(argv, bad, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: invalid literal for int() with base 10: {bad!r}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    """A reader that closed the pipe is not bad input: no traceback, and
+    the exit code a shell gives a writer killed by SIGPIPE."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zforce.cli", "witness", "h43"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

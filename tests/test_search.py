@@ -60,6 +60,22 @@ def disjoint_union(*graphs):
     return Graph.from_edges(off, edges)
 
 
+def disconnected_graphs(rng, most):
+    """Edgeless graphs of orders 1-6, random graphs with isolated vertices
+    before or after them, and disjoint unions of two random graphs; none has
+    more than `most` vertices."""
+    graphs = [Graph(n, [0] * n) for n in range(1, 7)]
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(2, most - 2), rng.choice([0.4, 0.7]))
+        isolated = Graph.from_edges(rng.randint(1, 2), [])
+        graphs += [disjoint_union(isolated, g), disjoint_union(g, isolated)]
+    for _ in range(10):
+        a = rng.randint(1, most - 1)
+        graphs.append(disjoint_union(random_graph(rng, a),
+                                     random_graph(rng, rng.randint(1, most - a))))
+    return graphs
+
+
 PINNED_GRAPHS = {
     "pinwheel12": family("pinwheel12"),
     "ML12": family("mobius_ladder", [12]),
@@ -453,7 +469,7 @@ class TestOsSets:
         graphs = connected_graphs_upto(6) + [
             random_graph(rng, rng.randint(7, 8), rng.choice([0.25, 0.4, 0.6]))
             for _ in range(40)
-        ]
+        ] + disconnected_graphs(random.Random(71), 8)
         for g in graphs:
             s = maximum_os_set(g)
             assert (s.order, s.witnesses) == reference_os_set(g)
