@@ -189,17 +189,15 @@ closure_psd(PyObject *self, PyObject *args)
 }
 
 static PyObject *
-first_forcing_lex(PyObject *self, PyObject *args, PyObject *kwargs)
+first_forcing_lex(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"adj", "n", "k", "psd", "start", "count", NULL};
     PyObject *adj, *start = Py_None;
     int n, k, psd, comb[MAX_N], found = 0;
     long long count = -1, explored = 0;
     u64 rows[MAX_N], full, mask = 0;
     FailedCache fc = {{0}, {0}, 0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oiip|OL", kwlist, &adj, &n,
-                                     &k, &psd, &start, &count)
+    if (!PyArg_ParseTuple(args, "Oiip|OL", &adj, &n, &k, &psd, &start, &count)
         || load_adj(adj, n, k, rows, &full) < 0)
         return NULL;
     for (int i = 0; i < k; i++)
@@ -286,9 +284,8 @@ static PyMethodDef methods[] = {
      "closure_standard(adj, n, black): fixpoint of the standard color change rule."},
     {"closure_psd", closure_psd, METH_VARARGS,
      "closure_psd(adj, n, black): fixpoint of the positive semidefinite rule."},
-    {"first_forcing_lex", (PyCFunction)(void (*)(void))first_forcing_lex,
-     METH_VARARGS | METH_KEYWORDS,
-     "first_forcing_lex(adj, n, k, psd, start=None, count=-1)\n"
+    {"first_forcing_lex", first_forcing_lex, METH_VARARGS,
+     "first_forcing_lex(adj, n, k, psd[, start[, count]]), positional only\n"
      "-> (mask or None, closures run); see _kernels_py.first_forcing_lex."},
     {"all_forcing_lex", all_forcing_lex, METH_VARARGS,
      "all_forcing_lex(adj, n, k, psd): all forcing k-subsets as masks, in lex order."},

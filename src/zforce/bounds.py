@@ -136,7 +136,7 @@ def clique_cover_number(g: Graph) -> CliqueCover:
     Exact set cover over maximal cliques (restriction to maximal cliques
     loses nothing for edge covers).  Edge {u < v} is bit u*n + v of an edge
     mask, so the lowest uncovered bit is the lexicographically first
-    uncovered edge.  The edgeless graph needs 0 cliques.
+    uncovered edge.  An edgeless graph stops at the root with 0 cliques.
     """
     n = g.n
     full = _edge_mask(n, g.adj)
@@ -145,8 +145,6 @@ def clique_cover_number(g: Graph) -> CliqueCover:
         raise SizeLimitError(
             f"clique cover refused for {edges} edges > limit {CLIQUE_EDGE_LIMIT}"
         )
-    if not edges:
-        return CliqueCover(0, ())
     cliques = maximal_cliques(g)
     edge_sets = []
     for c in cliques:

@@ -66,11 +66,7 @@ class VertexSet:
         return self.mask.bit_count()
 
     def __iter__(self):
-        m = self.mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            yield v
-            m &= m - 1
+        return _bits(self.mask)
 
     def __contains__(self, v):
         return 0 <= v < self.n and (self.mask >> v) & 1 == 1
@@ -119,8 +115,6 @@ class Graph:
             raise GraphError(f"order {n} outside supported range 1..{MAX_VERTICES}")
         rows = [0] * n
         for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
@@ -145,8 +139,8 @@ class Graph:
         return sum(r.bit_count() for r in self.adj) // 2
 
     def is_connected(self) -> bool:
-        comps = components(self, VertexSet.full(self.n))
-        return len(comps) <= 1
+        full = (1 << self.n) - 1
+        return component_mask(self.adj, full, 0) == full
 
     def __repr__(self):
         label = self.name or "graph"
@@ -350,16 +344,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     n = g.n * h.n
     if n > MAX_VERTICES:
         raise SizeLimitError(f"product order {n} exceeds {MAX_VERTICES}")
-    edges = []
-    for i in range(g.n):
-        for j in range(h.n):
-            v = i * h.n + j
-            for jj in _bits(h.adj[j]):
-                if jj > j:
-                    edges.append((v, i * h.n + jj))
-            for ii in _bits(g.adj[i]):
-                if ii > i:
-                    edges.append((v, ii * h.n + j))
+    edges = [(i * h.n + j, i * h.n + jj) for j, jj in h.edges() for i in range(g.n)]
+    edges += [(i * h.n + j, ii * h.n + j) for i, ii in g.edges() for j in range(h.n)]
     name = ""
     if g.name and h.name:
         name = f"{g.name} x {h.name}"

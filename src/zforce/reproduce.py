@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-import numpy as np
-
 from ._small_graphs import CONNECTED_ATLAS, TREES
 from .bounds import bounds_report, path_cover_number
 from .forcing import derived_set, is_forcing_set, reversal
 from .graph import Graph, InvariantViolation, cartesian_product, family, parse_graph6
-from .search import all_minimum_zfs, maximum_os_set, zero_forcing_number
+from .search import (all_minimum_zfs, maximum_os_set, min_zfs_intersection,
+                     zero_forcing_number)
 from .witness import (
     H43_SUPPORT,
+    OMEGA,
     build_h43_witness,
     build_tree_clique_witness,
     is_psd,
@@ -185,19 +185,17 @@ def criterion_reversal(max_n=7) -> CriterionResult:
 
 
 def criterion_intersection(max_n=7) -> CriterionResult:
+    """min_zfs_intersection is empty, and minimum-set vertices keep an outside neighbor."""
     hi = min(max_n, 7)
     graphs = [g for g in connected_graphs_upto(hi) if g.n >= 2]
     bad_int = bad_nbr = 0
     for g in graphs:
-        mins = all_minimum_zfs(g, "standard")
-        inter = (1 << g.n) - 1
-        for s in mins:
-            inter &= s.mask
+        if min_zfs_intersection(g):
+            bad_int += 1
+        for s in all_minimum_zfs(g, "standard"):
             for z in s:
                 if g.adj[z] & ~s.mask == 0:
                     bad_nbr += 1
-        if inter:
-            bad_int += 1
     checks = [
         (bad_int == 0, f"empty minimum-set intersection on all "
                        f"{len(graphs)} connected classes, 2 <= n <= {hi}; "
@@ -270,7 +268,7 @@ def criterion_tree_clique(max_n=None) -> CriterionResult:
         gap = rank_gap(a, a.shape[0] - r)
         ok = (
             zp == r
-            and np.abs(a - a.T).max() == 0
+            and (a == a.T).all()
             and is_psd(a)
             and bool(pattern_matches(a, prod))
             and nullity == r
@@ -329,8 +327,7 @@ def criterion_h43(max_n=None) -> CriterionResult:
              f"{small_ok and large_ok}), pattern {patt}, "
              f"rows 4-8 residual {resid:.2e}")
         )
-    w = complex(np.exp(2j * np.pi / 3))
-    r_omega = abs(sticky_equation_residual(w))
+    r_omega = abs(sticky_equation_residual(OMEGA))
     real_min = sticky_equation_residual(-0.5)
     checks.append((r_omega < 1e-12, f"residual at primitive root: {r_omega:.2e}"))
     checks.append(

@@ -44,7 +44,7 @@ def numeric_rank(a: np.ndarray) -> int:
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = singular_values(a)
     if s.size == 0 or s[0] == 0:
         return 0
     return int((s > RANK_TOL * s[0]).sum())
@@ -269,10 +269,11 @@ def build_h43_witness(
     check = support_matches(a, H43_SUPPORT)
     if not check:
         i, j = check.first_mismatch
+        fault = ("degenerated to zero" if a[i, j] == 0
+                 else f"is below {PATTERN_TOL:g} times the largest entry")
         raise DegenerateParameters(
             f"entry at row vertex {H43_ROW_VERTICES[i]}, column vertex "
-            f"{H43_COL_VERTICES[j]} degenerated to zero; pick different "
-            "free parameters"
+            f"{H43_COL_VERTICES[j]} {fault}; pick different free parameters"
         )
     rank = numeric_rank(a)
     if rank != 3:
@@ -332,12 +333,4 @@ def read_matrix(fh) -> np.ndarray:
 def _parse_entry(tok: str, is_complex: bool):
     if not is_complex:
         return float(tok)
-    if not tok.endswith("i"):
-        return complex(float(tok), 0.0)
-    body = tok[:-1]
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "eE":
-            re_part = float(body[:pos])
-            im_part = float(body[pos:])
-            return complex(re_part, im_part)
-    return complex(0.0, float(body))
+    return complex(tok[:-1] + "j") if tok.endswith("i") else complex(float(tok), 0.0)

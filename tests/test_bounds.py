@@ -24,12 +24,8 @@ from zforce import (
     zero_forcing_number,
 )
 from zforce.reproduce import connected_graphs_upto
+from helpers import random_graph
 from test_search import disconnected_graphs
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def is_induced_path(g, order):

@@ -211,6 +211,14 @@ def test_exit_code_witness_non_finite(capsys, flag, value):
     assert code == 2 and err == f"error: free parameter {name} must be finite\n"
 
 
+@pytest.mark.parametrize("arg", ["--a15-6=1e9", "--a3-12=1e-10"])
+def test_witness_small_entry_is_not_called_zero(capsys, arg):
+    # the constant entries fall below the pattern tolerance, but are not zero
+    code, _, err = run(capsys, "witness", "h43", arg)
+    assert code == 2 and "below 1e-09 times the largest entry" in err
+    assert "degenerated to zero" not in err
+
+
 def test_witness_negative_free_parameters(capsys):
     code, out, _ = run(capsys, "witness", "h43", "--a15-6=-1j", "--a3-12=-1j",
                        "--a3-14=-1j", "--json")

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from zforce import (
-    Graph,
     GraphError,
     VertexSet,
     certificate,
@@ -22,11 +21,7 @@ from zforce import (
     reversal,
 )
 from zforce.reproduce import connected_graphs_upto
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 def white_components(nbrs, white):

@@ -1,7 +1,6 @@
 """Graph type, families, and graph operations."""
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -15,11 +14,7 @@ from zforce import (
     induced,
 )
 from zforce.graph import PINWHEEL12_EDGES
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 class TestVertexSet:
@@ -44,7 +39,7 @@ class TestVertexSet:
 
 class TestGraphType:
     def test_rejects_self_loop(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="self-loop at vertex 0"):
             Graph.from_edges(2, [(0, 0)])
 
     def test_rejects_asymmetric_rows(self):

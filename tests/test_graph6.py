@@ -1,17 +1,12 @@
 """graph6 serialization against hand-decoded strings, round trips, and networkx."""
 
 import random
-from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from zforce import Graph, ParseError, family, parse_graph6, write_graph6
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 def test_hand_decoded_k2():

@@ -8,18 +8,13 @@ batched bitmask kernels.  The compiled twin comes from the `kc` fixture
 
 import math
 import random
-from itertools import combinations
 
 import pytest
 
 from zforce import Graph, cartesian_product, family, kernels, search, zero_forcing_number
 from zforce import _kernels_py as kpy
 from zforce.search import _unrank
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 # --- oracle: one force at a time, straight from the definitions ---

@@ -44,12 +44,8 @@ from zforce import (
     zero_forcing_number,
 )
 from zforce.reproduce import connected_graphs_upto, random_connected_graphs
+from helpers import random_graph
 from test_kernels import oracle_closure
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def disjoint_union(*graphs):

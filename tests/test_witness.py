@@ -246,6 +246,25 @@ class TestMatrixIO:
         write_matrix(np.array([[1 - 2j]]), buf)
         assert buf.getvalue().splitlines()[1] == "1.0-2.0i"
 
+    def test_complex_entries_roundtrip_bit_for_bit(self):
+        inf, nan = float("inf"), float("nan")
+        row = [complex(1, -2), complex(1e-05, 2e05), complex(0.0, 0.0),
+               complex(-0.0, 0.0), complex(nan, 1), complex(1, nan),
+               complex(inf, -inf), complex(5e-324, -5e-324),
+               complex(-1.7976931348623157e308, 1e-300), complex(0, 1),
+               complex(3, 0)]
+        buf = io.StringIO()
+        write_matrix(np.array([row]), buf)
+        buf.seek(0)
+        back = read_matrix(buf)[0]
+        for x, y in zip(row, back):
+            assert (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
+
+    @pytest.mark.parametrize("tok", ["(1+2i)", "1+2J", "1+2ji"])
+    def test_rejects_foreign_complex_tokens(self, tok):
+        with pytest.raises(ValueError):
+            read_matrix(io.StringIO(f"1 1 C\n{tok}\n"))
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             read_matrix(io.StringIO("2 2 X\n"))
