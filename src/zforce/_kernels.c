@@ -106,7 +106,8 @@ load_adj(PyObject *adj, int n, int k, u64 *rows, u64 *full)
     return rc;
 }
 
-/* Step a sorted index combination to its lexicographic successor. */
+/* Step a sorted index combination to its lexicographic successor: the order
+ * in which the pure twin takes k-subsets from itertools.combinations. */
 static int
 advance(int *c, int n, int k)
 {

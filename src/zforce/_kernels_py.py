@@ -3,11 +3,16 @@
 Reference implementation of the hot loops; works for any order because
 masks are plain Python ints.  The compiled twin in _kernels.c mirrors
 these semantics exactly (including the failed-closure cache policy, so
-node counts agree) for n <= 64.  One closure loop serves both rules: the
-standard rule is the psd loop with one component, the whole white set.
+node counts agree) for n <= 64.  k-subsets are scanned in
+`itertools.combinations(range(n), k)` order, which is lexicographic.  One
+closure loop serves both rules: the standard rule is the psd loop with one
+component, the whole white set.
 """
 
 from __future__ import annotations
+
+import operator
+from itertools import combinations, dropwhile, islice
 
 from .graph import component_mask
 
@@ -48,19 +53,6 @@ def closure_psd(adj, n: int, black: int) -> int:
     return closure(adj, n, black, True)
 
 
-def _advance(c: list[int], n: int, k: int) -> bool:
-    """Step a sorted index combination to its lexicographic successor."""
-    i = k - 1
-    while i >= 0 and c[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return False
-    c[i] += 1
-    for j in range(i + 1, k):
-        c[j] = c[j - 1] + 1
-    return True
-
-
 def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     """First k-subset (in lexicographic order) whose closure is all of V.
 
@@ -73,13 +65,14 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     full = (1 << n) - 1
-    c = list(range(k)) if start is None else list(start)
-    if (len(c) != k or c[0] < 0 or c[-1] >= n
-            or any(a >= b for a, b in zip(c, c[1:]))):
+    start = tuple(range(k) if start is None else map(operator.index, start))
+    if (len(start) != k or start[0] < 0 or start[-1] >= n
+            or any(a >= b for a, b in zip(start, start[1:]))):
         raise ValueError("start must be k strictly increasing vertices in 0..n-1")
+    combs = dropwhile(start.__gt__, combinations(range(n), k))
     explored = stores = 0
     failed: list[int] = []
-    while count != 0:
+    for c in islice(combs, None if count < 0 else count):
         mask = 0
         for i in c:
             mask |= 1 << i
@@ -98,9 +91,6 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
             else:
                 failed[stores % _CACHE_CAP] = d
             stores += 1
-        count -= 1
-        if not _advance(c, n, k):
-            break
     return None, explored
 
 
@@ -110,12 +100,10 @@ def all_forcing_lex(adj, n, k, psd):
         raise ValueError("need 1 <= k <= n")
     full = (1 << n) - 1
     out = []
-    c = list(range(k))
-    while True:
+    for c in combinations(range(n), k):
         mask = 0
         for i in c:
             mask |= 1 << i
         if closure(adj, n, mask, psd) == full:
             out.append(mask)
-        if not _advance(c, n, k):
-            return out
+    return out

@@ -152,6 +152,7 @@ def cmd_param(args) -> int:
     sets = all_minimum_zfs(g, args.rule, **limit) if args.all_min else None
     res = zero_forcing_number(g, args.rule, **limit)
     sets = sets or [res.best]
+    log = derived_set(g, sets[0], args.rule) if args.certificate else None
     if args.json:
         payload = {
             "graph": g.name or write_graph6(g),
@@ -162,6 +163,8 @@ def cmd_param(args) -> int:
             "sets_zero_based": [s.to_list() for s in sets],
             "nodes_explored": res.nodes_explored,
         }
+        if log is not None:
+            payload["certificate"] = certificate(log).splitlines()
         print(json.dumps(payload))
     else:
         label = "Z" if args.rule == "standard" else "Z+"
@@ -169,9 +172,8 @@ def cmd_param(args) -> int:
               f"{res.nodes_explored} closures)")
         for s in sets:
             print("  " + _set_text(s))
-    if args.certificate:
-        log = derived_set(g, sets[0], args.rule)
-        print(certificate(log))
+        if log is not None:
+            print(certificate(log))
     return EXIT_OK
 
 
@@ -207,6 +209,7 @@ def cmd_os(args) -> int:
             "order": [v + 1 for v in best.order],
             "witnesses": [w + 1 for w in best.witnesses],
             "order_zero_based": list(best.order),
+            "witnesses_zero_based": list(best.witnesses),
         }))
     else:
         print(f"OS = {value}  (n = {g.n}, so Z+ = {g.n - value} by duality)")

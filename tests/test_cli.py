@@ -120,6 +120,31 @@ def test_os_command(capsys):
     assert code == 0 and "OS = 4" in out and "Z+ = 1" in out
 
 
+def _minus_one(ids):
+    return [_minus_one(v) if isinstance(v, list) else v - 1 for v in ids]
+
+
+@pytest.mark.parametrize("argv", [
+    ["param", "--family", "path", "3"],
+    ["param", "--family", "path", "3", "--all-min"],
+    ["param", "--family", "path", "3", "--certificate"],
+    ["bounds", "--family", "pinwheel12"],
+    ["os", "--family", "mobius_ladder", "8"],
+    ["witness", "tree-clique", "--tree-family", "path", "3", "--r", "2"],
+    ["witness", "h43"],
+])
+def test_json_output_is_one_document(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    for key in ("sets", "order", "witnesses"):
+        if isinstance(payload.get(key), list):  # witness's "order" is an int
+            assert payload[f"{key}_zero_based"] == _minus_one(payload[key])
+    if "--certificate" in argv:
+        _, text, _ = run(capsys, *argv)
+        assert text.endswith("\n".join(payload["certificate"]) + "\n")
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "param", "--g6", "A\x07")
     assert code == 2 and "error" in err

@@ -163,6 +163,14 @@ def test_both_twins_reject_bad_start(kc, start):
             mod.first_forcing_lex(g.adj, g.n, 3, False, start, 5)
 
 
+@pytest.mark.parametrize("start", [(0.0, 1.0, 2.0), (2.0, 1.0, 3.0)])
+def test_both_twins_reject_non_integer_start(kc, start):
+    g = random_graph(random.Random(31), 9, 0.4)
+    for mod in (kpy, kc):
+        with pytest.raises(TypeError):
+            mod.first_forcing_lex(g.adj, g.n, 3, False, start, 5)
+
+
 def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_memo):
     graphs = [family("pinwheel12"), family("mobius_ladder", [12]),
               random_graph(random.Random(12), 12, 0.4)]
