@@ -207,15 +207,16 @@ first_forcing_lex(PyObject *self, PyObject *args)
         PyObject *seq = PySequence_Fast(start, "start must be a sequence");
         if (seq == NULL)
             return NULL;
-        int ok = PySequence_Fast_GET_SIZE(seq) == k;
-        for (int i = 0; ok && i < k; i++) {
+        /* length, then each entry's type, then range and order, as the pure twin */
+        int sized = PySequence_Fast_GET_SIZE(seq) == k, ok = sized;
+        for (int i = 0; sized && i < k; i++) {
             int overflow;
             long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
             if (v == -1 && PyErr_Occurred()) {
                 Py_DECREF(seq);
                 return NULL;
             }
-            ok = !overflow && v >= (i ? comb[i - 1] + 1 : 0) && v < n;
+            ok = ok && !overflow && v >= (i ? comb[i - 1] + 1 : 0) && v < n;
             if (ok)
                 comb[i] = (int)v;
         }

@@ -62,10 +62,14 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     The failed-closure cache skips candidates contained in a recorded
     non-forcing closed set; it never changes which subset is found first.
     """
+    count = operator.index(count)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     full = (1 << n) - 1
-    start = tuple(range(k) if start is None else map(operator.index, start))
+    # length, then every entry's type, then range and order, as in the C twin
+    start = tuple(range(k) if start is None else start)
+    if len(start) == k:
+        start = tuple(map(operator.index, start))
     if (len(start) != k or start[0] < 0 or start[-1] >= n
             or any(a >= b for a, b in zip(start, start[1:]))):
         raise ValueError("start must be k strictly increasing vertices in 0..n-1")

@@ -474,25 +474,17 @@ def tree_from_pruefer(*seq: int) -> Graph:
     n = len(seq) + 2
     _need(n <= MAX_VERTICES, f"tree order {n} exceeds {MAX_VERTICES}")
     _need(all(0 <= s < n for s in seq), "Pruefer entries must be in 0..n-1")
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)], name="tree")
     degree = [1] * n
     for s in seq:
         degree[s] += 1
     edges = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for s in seq:
-        leaf = heapq.heappop(leaves)
+    for s in seq:  # join the smallest leaf to each entry in turn
+        leaf = degree.index(1)
         edges.append((leaf, s))
+        degree[leaf] -= 1
         degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
+    u = degree.index(1)
+    edges.append((u, degree.index(1, u + 1)))
     return Graph.from_edges(n, edges, name="tree")
 
 

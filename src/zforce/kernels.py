@@ -17,7 +17,7 @@ except ImportError:
 
 
 def backend_name(n: int = 1) -> str:
-    return "compiled" if (_c is not None and n <= 64) else "pure-python"
+    return "compiled" if _impl(n) is _c else "pure-python"
 
 
 def _impl(n: int):

@@ -10,11 +10,13 @@ are unambiguous.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, SizeLimitError, cartesian_product, complete_graph
+from .graph import (MAX_VERTICES, Graph, SizeLimitError, cartesian_product, complete_graph,
+                    four_hub_wheel)
 
 RANK_TOL = 1e-8       # relative singular value threshold
 PATTERN_TOL = 1e-9    # relative to the largest entry magnitude
@@ -156,25 +158,10 @@ def build_tree_clique_witness(t: Graph, r: int) -> np.ndarray:
 # the 4-hub 3-wheel witness
 # ---------------------------------------------------------------------------
 
-# Zero-nonzero support of the scaled 8x8 witness.  Rows carry the odd
-# drawing labels 1,3,...,15 and columns the even ones 2,4,...,16; the
-# zeros are exactly the 24 edges of the 3-wheel with 4 hubs under the
-# customary labeling (cycle 1..12 in order; hubs 13~{2,6,10}, 14~{1,5,9},
+# Rows of the scaled 8x8 witness carry the odd drawing labels 1,3,...,15 and
+# columns the even ones 2,4,...,16, under the customary labeling of the
+# 3-wheel with 4 hubs (cycle 1..12 in order; hubs 13~{2,6,10}, 14~{1,5,9},
 # 15~{4,8,12}, 16~{3,7,11}).
-H43_SUPPORT = np.array(
-    [
-        [0, 1, 1, 1, 1, 0, 0, 1],
-        [0, 0, 1, 1, 1, 1, 1, 0],
-        [1, 0, 0, 1, 1, 1, 0, 1],
-        [1, 1, 0, 0, 1, 1, 1, 0],
-        [1, 1, 1, 0, 0, 1, 0, 1],
-        [1, 1, 1, 1, 0, 0, 1, 0],
-        [0, 1, 0, 1, 0, 1, 1, 1],
-        [1, 0, 1, 0, 1, 0, 1, 1],
-    ],
-    dtype=int,
-)
-
 H43_ROW_VERTICES = tuple(range(1, 17, 2))
 H43_COL_VERTICES = tuple(range(2, 17, 2))
 
@@ -182,7 +169,17 @@ H43_COL_VERTICES = tuple(range(2, 17, 2))
 H43_LABEL_TO_INDEX = {**{m: m - 1 for m in range(1, 13)},
                        13: 13, 14: 12, 15: 15, 16: 14}
 
-OMEGA = complex(np.exp(2j * np.pi / 3))
+# Zero-nonzero support of the witness, derived from the graph: entry (i, j)
+# is 0 exactly when its row and column vertices are adjacent, so the zeros
+# are the 24 edges of the 3-wheel with 4 hubs.
+_WHEEL = four_hub_wheel(3)
+H43_SUPPORT = tuple(
+    tuple(int(not _WHEEL.has_edge(H43_LABEL_TO_INDEX[r], H43_LABEL_TO_INDEX[c]))
+          for c in H43_COL_VERTICES)
+    for r in H43_ROW_VERTICES
+)
+
+OMEGA = cmath.exp(2j * math.pi / 3)
 
 _ROOTS = {
     "omega": OMEGA,

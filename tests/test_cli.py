@@ -1,5 +1,6 @@
 """CLI behavior: inputs, outputs, JSON round trips, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from zforce import (
-    cli, family, kernels, numeric_rank, read_matrix, search, write_graph6,
-    zero_forcing_number,
+    InvariantViolation, cli, family, kernels, numeric_rank, read_matrix, reproduce,
+    search, write_graph6, zero_forcing_number,
 )
 from zforce.cli import main
 
@@ -262,6 +263,32 @@ def test_witness_h43_writes_matrix(tmp_path, capsys):
     assert a.shape == (8, 8) and numeric_rank(a) == 3
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("witness", "h43"),
+     "53bebf773a3c1c06126dd19b557217cfbee75b861fc71a94a0af68bd727d608b"),
+    (("witness", "h43", "--root", "omega-bar"),
+     "af1e0c537ceba8d0e6ed410481e310072417ac4a1d0fc867cd03546be86478e3"),
+    (("witness", "tree-clique", "--tree-family", "path", "3", "--r", "2"),
+     "cb62e1ff406cf68358a21ef7796f56f7db10e3ed4e83324fb901a768beb1b056"),
+])
+def test_written_witness_is_pinned_byte_for_byte(tmp_path, capsys, argv, sha256):
+    out_file = tmp_path / "w.mat"
+    code, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == sha256
+
+
+def test_witness_tree_clique_from_graph6(tmp_path, capsys):
+    out_file = tmp_path / "w.mat"
+    runs = []
+    for tree in (("--tree", "Bg"), ("--tree-family", "path", "3")):
+        code, out, _ = run(capsys, "witness", "tree-clique", *tree, "--r", "2",
+                           "--json", "--out", str(out_file))
+        assert code == 0
+        runs.append((json.loads(out), out_file.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_witness_tree_clique(capsys):
     code, out, _ = run(capsys, "witness", "tree-clique", "--tree-family",
                        "path", "2", "--r", "3", "--json")
@@ -279,6 +306,26 @@ def test_witness_real_root_rejected(capsys):
 def test_reproduce_only_h43(capsys):
     code, out, _ = run(capsys, "reproduce", "--only", "h43")
     assert code == 0 and out.startswith("PASS h43")
+
+
+def test_exit_code_reproduce_failure(capsys, monkeypatch):
+    def broken(**cap):
+        return reproduce.CriterionResult("broken", False, ["forced to fail"])
+
+    monkeypatch.setattr(reproduce, "CRITERIA", reproduce.CRITERIA + (("broken", broken),))
+    code, out, _ = run(capsys, "reproduce", "--only", "broken")
+    assert code == 1
+    assert out == "FAIL broken: forced to fail\nFAILURES: broken\n"
+
+
+def test_exit_code_invariant_violation(capsys, monkeypatch):
+    def violated(g):
+        raise InvariantViolation("bounds disagree")
+
+    monkeypatch.setattr(cli, "bounds_report", violated)
+    code, out, err = run(capsys, "bounds", "--family", "path", "3")
+    assert code == 4 and out == ""
+    assert err.startswith("internal invariant violation:")
 
 
 def test_reproduce_unknown_name(capsys):

@@ -84,3 +84,18 @@ def test_error_bad_padding():
 def test_error_empty():
     with pytest.raises(ParseError):
         parse_graph6("   ")
+
+
+def test_error_order_zero():
+    with pytest.raises(ParseError, match="order must be at least 1"):
+        parse_graph6("?")
+
+
+def test_eight_byte_order_prefix():
+    assert parse_graph6("~~?????@").n == 1
+
+
+@pytest.mark.parametrize("text", ["~~?", "~?"])
+def test_error_truncated_order_prefix(text):
+    with pytest.raises(ParseError, match="truncated"):
+        parse_graph6(text)

@@ -155,7 +155,7 @@ class TestCompiledTwin:
 
 
 @pytest.mark.parametrize("start", [(0, 0, 1), (2, 1, 3), (0, 1, 9), (0, 1), (0, 1, 2, 3),
-                                   (-1, 1, 2), (0, 1, 1 << 70)])
+                                   (-1, 1, 2), (0, 1, 1 << 70), (0.0, 1.0)])
 def test_both_twins_reject_bad_start(kc, start):
     g = random_graph(random.Random(31), 9, 0.4)
     for mod in (kpy, kc):
@@ -163,12 +163,20 @@ def test_both_twins_reject_bad_start(kc, start):
             mod.first_forcing_lex(g.adj, g.n, 3, False, start, 5)
 
 
-@pytest.mark.parametrize("start", [(0.0, 1.0, 2.0), (2.0, 1.0, 3.0)])
+@pytest.mark.parametrize("start", [(0.0, 1.0, 2.0), (2.0, 1.0, 3.0), (5, 1, 2.0)])
 def test_both_twins_reject_non_integer_start(kc, start):
     g = random_graph(random.Random(31), 9, 0.4)
     for mod in (kpy, kc):
         with pytest.raises(TypeError):
             mod.first_forcing_lex(g.adj, g.n, 3, False, start, 5)
+
+
+@pytest.mark.parametrize("count", [2.0, -1.0])
+def test_both_twins_reject_non_integer_count(kc, count):
+    g = random_graph(random.Random(31), 9, 0.4)
+    for mod in (kpy, kc):
+        with pytest.raises(TypeError):
+            mod.first_forcing_lex(g.adj, g.n, 3, False, (0, 1, 2), count)
 
 
 def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_memo):

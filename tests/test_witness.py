@@ -1,10 +1,15 @@
 """Numeric rank, pattern and psd checks, and the two constructive witnesses."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zforce
 from zforce import (
     DegenerateParameters,
     Graph,
@@ -51,6 +56,15 @@ class TestNumericRank:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             numeric_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("a, rank", [(np.eye(3), 0), (np.eye(2), 5)])
+    def test_rank_gap_rejects_rank_out_of_range(self, a, rank):
+        with pytest.raises(ValueError, match="rank out of range"):
+            rank_gap(a, rank)
+
+    @pytest.mark.parametrize("a, rank", [(np.eye(3), 3), (np.diag([1.0, 0.0]), 1)])
+    def test_rank_gap_is_inf_past_a_clean_zero(self, a, rank):
+        assert rank_gap(a, rank) == float("inf")
 
 
 class TestPatternChecks:
@@ -204,11 +218,30 @@ class TestH43Witness:
         zero_pairs = set()
         for i, rv in enumerate(H43_ROW_VERTICES):
             for j, cv in enumerate(H43_COL_VERTICES):
-                if H43_SUPPORT[i, j] == 0:
+                if H43_SUPPORT[i][j] == 0:
                     zero_pairs.add(frozenset(
                         (H43_LABEL_TO_INDEX[rv], H43_LABEL_TO_INDEX[cv])
                     ))
         assert zero_pairs == {frozenset(e) for e in g.edges()}
+
+    def test_import_reads_no_numpy_attribute(self):
+        """The witness constants are built without numpy, so importing the
+        package only binds the numpy module, which a lazy import can replace."""
+        code = (
+            "import sys, types\n"
+            "class Poisoned(types.ModuleType):\n"
+            "    def __getattr__(self, name):\n"
+            "        raise AssertionError(f'numpy.{name} used at import time')\n"
+            "sys.modules['numpy'] = Poisoned('numpy')\n"
+            "import zforce, zforce.cli, zforce.reproduce\n"
+        )
+        src = str(Path(zforce.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStickyEquation:
@@ -221,6 +254,10 @@ class TestStickyEquation:
 
     def test_real_minimum(self):
         assert sticky_equation_residual(-0.5) == 0.75
+
+    def test_omega_is_pinned_bit_for_bit(self):
+        assert (OMEGA.real.hex(), OMEGA.imag.hex()) == (
+            "-0x1.ffffffffffffcp-2", "0x1.bb67ae8584cabp-1")
 
 
 class TestMatrixIO:
