@@ -18,7 +18,6 @@ from .forcing import (
     ForceLog,
     certificate,
     chains,
-    derived_mask,
     derived_set,
     is_forcing_set,
     reversal,

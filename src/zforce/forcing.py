@@ -86,15 +86,10 @@ def _first_force(g: Graph, black: int, rule: str):
     return None
 
 
-def derived_mask(g: Graph, black: int, rule: str = "standard") -> int:
-    """Fast fixpoint mask via the kernels (no log)."""
-    _check_rule(rule)
-    return kernels.closure(g.adj, g.n, black, rule)
-
-
 def is_forcing_set(g: Graph, s: VertexSet, rule: str = "standard") -> bool:
+    _check_rule(rule)
     _check_order(g, s)
-    return derived_mask(g, s.mask, rule) == (1 << g.n) - 1
+    return kernels.closure(g.adj, g.n, s.mask, rule) == (1 << g.n) - 1
 
 
 def chains(log: ForceLog) -> tuple[tuple[int, ...], ...]:

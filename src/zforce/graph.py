@@ -226,19 +226,13 @@ def write_graph6(g: Graph) -> str:
 def _read_order(data: bytes) -> tuple[int, int]:
     if data[0] != 126:
         return data[0] - 63, 1
-    if len(data) < 4:
+    start, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+    if len(data) < end:
         raise ParseError("truncated graph6 length prefix")
-    if data[1] == 126:
-        if len(data) < 8:
-            raise ParseError("truncated graph6 length prefix")
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        return n, 8
     n = 0
-    for b in data[1:4]:
+    for b in data[start:end]:
         n = (n << 6) | (b - 63)
-    return n, 4
+    return n, end
 
 
 def _write_order(n: int) -> str:

@@ -38,6 +38,7 @@ from .graph import (
 DEFAULT_SEARCH_LIMIT = 24
 DEFAULT_ALL_MIN_LIMIT = 12
 DEFAULT_OS_LIMIT = 8
+OS_CEILING = 20  # the OS DP keeps about 2^n masks, so `limit` cannot lift this
 
 _PARALLEL_MIN_WORK = 4096  # don't fork for tiny subset spaces
 _SCAN_MEMO = 256  # serial component scans kept per process
@@ -290,6 +291,10 @@ def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
     (v, w) steps: those of S - v for the first v, ascending, that works,
     then (v, w).  The answer is the smallest mask of the largest size.
     """
+    if g.n > OS_CEILING:
+        raise SizeLimitError(
+            f"maximum_os_set refused for n={g.n} > ceiling {OS_CEILING}"
+        )
     _guard(g.n, limit, "maximum_os_set")
     steps: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
     for s in range(1, 1 << g.n):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from zforce import kernels, search
+from zforce import search
 
 ROOT = Path(__file__).resolve().parents[1]
 BUILD_TIMEOUT_S = 300
@@ -20,15 +20,12 @@ BUILD_TIMEOUT_S = 300
 
 @pytest.fixture(scope="session")
 def kc(tmp_path_factory):
-    """The compiled kernel module `zforce._kernels`.
-
-    Uses the installed or in-place build when there is one; otherwise
-    builds the extension into a temporary directory (nothing is written
-    into the source tree) and loads it from there.  Skips only when no C
-    compiler is available; a failed build fails the test.
+    """The compiled kernel module `zforce._kernels`, built from the current
+    `_kernels.c` into a temporary directory (nothing is written into the
+    source tree) and loaded from there, so an installed or in-place build
+    of older C never stands in for it.  Skips only when no C compiler is
+    available; a failed build fails the test.
     """
-    if kernels._c is not None:
-        return kernels._c
     cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) to build zforce._kernels")

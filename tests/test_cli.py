@@ -183,6 +183,12 @@ def test_os_guard_names_the_refusing_function(capsys):
     assert "--search-limit" in err
 
 
+def test_os_ceiling_is_not_lifted_by_search_limit(capsys):
+    code, out, err = run(capsys, "os", "--family", "path", "21", "--search-limit", "21")
+    assert code == 3 and out == ""
+    assert "ceiling 20" in err and "raise it" not in err
+
+
 def test_all_min_guard_refuses_before_any_search(capsys, monkeypatch):
     def no_search(*args, **kwargs):
         pytest.fail("the Z search ran before the --all-min guard refused")

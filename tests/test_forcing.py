@@ -6,12 +6,13 @@ from itertools import combinations
 import pytest
 
 from zforce import (
+    Force,
+    ForceLog,
     GraphError,
     VertexSet,
     certificate,
     chains,
     components,
-    derived_mask,
     derived_set,
     family,
     induced,
@@ -94,7 +95,7 @@ class TestDerivedSet:
             init = VertexSet.of(g.n, [v for v in range(g.n) if rng.random() < 0.4])
             for rule in ("standard", "psd"):
                 log = derived_set(g, init, rule)
-                assert log.derived.mask == derived_mask(g, init.mask, rule)
+                assert log.derived.mask == kernels.closure(g.adj, g.n, init.mask, rule)
 
     def test_log_invariants(self):
         rng = random.Random(9)
@@ -112,6 +113,11 @@ class TestDerivedSet:
                 if rule == "standard":
                     forcers = [f.forcer for f in log.forces]
                     assert len(set(forcers)) == len(forcers)
+
+    @pytest.mark.parametrize("call", [derived_set, is_forcing_set])
+    def test_unknown_rule_is_rejected(self, call):
+        with pytest.raises(GraphError, match="unknown rule 'bogus'"):
+            call(family("path", [3]), VertexSet.of(3, [0]), "bogus")
 
     @pytest.mark.parametrize("rule", ["standard", "psd"])
     def test_log_matches_rule_definitions(self, rule):
@@ -172,6 +178,10 @@ class TestChains:
             chains(derived_set(g, VertexSet.of(4, [0]), "psd"))
         with pytest.raises(GraphError):
             chains(derived_set(g, VertexSet.of(4, [1])))  # stalls, not complete
+        twice = ForceLog(VertexSet.of(3, [0]), "standard",
+                         (Force(0, 1), Force(0, 2)), VertexSet.full(3))
+        with pytest.raises(GraphError, match="corrupt log: a vertex forced twice"):
+            chains(twice)
 
 
 class TestReversal:

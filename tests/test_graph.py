@@ -46,6 +46,15 @@ class TestGraphType:
         with pytest.raises(GraphError):
             Graph(2, [0b10, 0b00])
 
+    @pytest.mark.parametrize("build,msg", [
+        (lambda: Graph(3, (2, 1)), "adjacency length differs from n"),
+        (lambda: Graph(2, (2, 9)), "adjacency of 1 has bits outside 0..1"),
+        (lambda: Graph.from_edges(3, [(0, 3)]), r"edge \(0,3\) out of range for n=3"),
+    ], ids=["short-rows", "row-past-n", "edge-past-n"])
+    def test_rejects_malformed_rows(self, build, msg):
+        with pytest.raises(GraphError, match=msg):
+            build()
+
     def test_rejects_bad_order(self):
         with pytest.raises(GraphError):
             Graph(0, [])

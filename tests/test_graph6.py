@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from zforce import Graph, ParseError, family, parse_graph6, write_graph6
+from zforce import Graph, ParseError, SizeLimitError, family, parse_graph6, write_graph6
 from helpers import random_graph
 
 
@@ -99,3 +99,8 @@ def test_eight_byte_order_prefix():
 def test_error_truncated_order_prefix(text):
     with pytest.raises(ParseError, match="truncated"):
         parse_graph6(text)
+
+
+def test_order_past_the_vertex_cap_is_a_size_error():
+    with pytest.raises(SizeLimitError, match="graph6 order 192 exceeds 128"):
+        parse_graph6("~?B" + "?" * 10)

@@ -179,6 +179,14 @@ def test_both_twins_reject_non_integer_count(kc, count):
             mod.first_forcing_lex(g.adj, g.n, 3, False, (0, 1, 2), count)
 
 
+@pytest.mark.parametrize("scan,k", [("first_forcing_lex", 0), ("all_forcing_lex", 10)])
+def test_both_twins_reject_k_outside_1_to_n(kc, scan, k):
+    g = random_graph(random.Random(31), 9, 0.4)
+    for mod in (kpy, kc):
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            getattr(mod, scan)(g.adj, g.n, k, False)
+
+
 def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_memo):
     graphs = [family("pinwheel12"), family("mobius_ladder", [12]),
               random_graph(random.Random(12), 12, 0.4)]

@@ -444,6 +444,15 @@ class TestOsSets:
         assert not dup
         oob = verify_os_set(g, OsSet((7,), (1,)))
         assert not oob and "range" in oob.reason
+        short = verify_os_set(g, OsSet((0, 1), (1,)))
+        assert not short and "differ in length" in short.reason
+        placed = verify_os_set(family("path", [4]), OsSet((0, 1), (1, 0)))
+        assert not placed and placed.failing_index == 2
+        assert "already placed" in placed.reason
+        paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        other = verify_os_set(paw, OsSet((0, 1), (2, 2)))
+        assert not other and other.failing_index == 2
+        assert "another neighbor" in other.reason
 
     def test_os_number_examples(self):
         assert len(maximum_os_set(family("path", [2]))) == 1
@@ -522,6 +531,18 @@ class TestOsSets:
             maximum_os_set(family("cycle", [9]))
         assert len(maximum_os_set(family("cycle", [9]), limit=9)) == 7
 
+    def test_os_ceiling_refuses_before_allocating(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="n=21 > ceiling 20"):
+                maximum_os_set(family("path", [21]), limit=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_duality_and_construction_on_disconnected_graphs(self):
         rng = random.Random(53)
         for _ in range(10):
@@ -577,7 +598,8 @@ def test_removed_names_are_gone():
     from zforce import Force, Graph, chains, forcing, graph, kernels
 
     for owner, name in ((forcing, "ChainDecomposition"), (graph, "read_graph6_file"),
-                        (kernels, "HAVE_COMPILED"), (Graph, "complement")):
+                        (kernels, "HAVE_COMPILED"), (Graph, "complement"),
+                        (forcing, "derived_mask")):
         assert not hasattr(owner, name) and not hasattr(zforce, name), name
     assert [f.name for f in dataclasses.fields(Force)] == ["forcer", "forced", "component"]
     log = derived_set(P3, VertexSet.of(3, [0]))

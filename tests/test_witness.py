@@ -92,6 +92,8 @@ class TestPatternChecks:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             pattern_matches(np.eye(3), family("path", [4]))
+        with pytest.raises(ValueError, match="shapes differ"):
+            support_matches(np.eye(2), np.eye(3))
 
     def test_pattern_matches_entrywise_definition(self):
         """First off-diagonal (i, j) in row-major order whose nonzero-ness
@@ -163,6 +165,8 @@ class TestTreeCliqueWitness:
             build_tree_clique_witness(family("cycle", [4]), 2)
         with pytest.raises(ValueError):
             build_tree_clique_witness(family("path", [3]), 1)
+        with pytest.raises(ValueError, match="order at least 2"):
+            build_tree_clique_witness(family("path", [1]), 2)
 
 
 class TestH43Witness:
@@ -194,6 +198,8 @@ class TestH43Witness:
     def test_real_root_rejected(self):
         with pytest.raises(ValueError, match="3/4"):
             build_h43_witness(root="real")
+        with pytest.raises(ValueError, match="root must be one of"):
+            build_h43_witness(root="zeta")
 
     def test_zero_free_parameter_rejected(self):
         with pytest.raises(DegenerateParameters):
