@@ -19,6 +19,20 @@ from .graph import component_mask
 _CACHE_CAP = 64  # failed closures kept by first_forcing_lex
 
 
+def _check(adj, n: int, k: int = 1, black: int = 0) -> int:
+    """The full mask, after refusing what the C twin's load_adj and to_mask
+    refuse, in their order: k (the closures, which take no k, pass 1), the
+    row count, each of the first n rows, then the black mask."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    if len(adj) < n:
+        raise ValueError("adj has fewer than n rows")
+    full = (1 << n) - 1
+    if any(m & ~full for m in (*adj[:n], black)):
+        raise ValueError("mask does not fit in n bits")
+    return full
+
+
 def closure(adj, n: int, black: int, psd: bool) -> int:
     """Fixpoint of the psd rule if `psd`, else of the standard rule, from
     the given black mask.
@@ -46,10 +60,12 @@ def closure(adj, n: int, black: int, psd: bool) -> int:
 
 
 def closure_standard(adj, n: int, black: int) -> int:
+    _check(adj, n, black=black)
     return closure(adj, n, black, False)
 
 
 def closure_psd(adj, n: int, black: int) -> int:
+    _check(adj, n, black=black)
     return closure(adj, n, black, True)
 
 
@@ -63,9 +79,7 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
     non-forcing closed set; it never changes which subset is found first.
     """
     count = operator.index(count)
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    full = (1 << n) - 1
+    full = _check(adj, n, k)
     # length, then every entry's type, then range and order, as in the C twin
     start = tuple(range(k) if start is None else start)
     if len(start) == k:
@@ -100,9 +114,7 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
 
 def all_forcing_lex(adj, n, k, psd):
     """All forcing k-subsets as masks, in lexicographic order."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    full = (1 << n) - 1
+    full = _check(adj, n, k)
     out = []
     for c in combinations(range(n), k):
         mask = 0

@@ -118,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = p.add_subparsers(dest="witness_kind", required=True)
     tc = wsub.add_parser("tree-clique",
                          help="psd rank witness for (tree) x (complete graph)")
-    tcg = tc.add_mutually_exclusive_group(required=True)
-    tcg.add_argument("--tree", metavar="G6", help="tree as a graph6 string")
-    tcg.add_argument("--tree-family", nargs="+", metavar=("NAME", "PARAM"))
+    _add_input_args(tc)
     tc.add_argument("--r", type=int, required=True, help="clique size")
     tc.add_argument("--out", metavar="FILE", help="write the matrix here")
     tc.add_argument("--json", action="store_true")
@@ -220,32 +218,15 @@ def cmd_os(args) -> int:
 
 def cmd_witness(args) -> int:
     if args.witness_kind == "tree-clique":
-        if args.tree is not None:
-            t = parse_graph6(args.tree)
-        else:
-            name, *params = args.tree_family
-            t = family(name, params)
-        a = build_tree_clique_witness(t, args.r)  # raises unless pattern-exact
-        rank = numeric_rank(a)
-        stats = {
-            "order": a.shape[0],
-            "rank": rank,
-            "nullity": a.shape[0] - rank,
-            "psd": is_psd(a),
-            "pattern_exact": True,
-            "rank_gap": rank_gap(a, rank),
-        }
+        # raises unless pattern-exact
+        a = build_tree_clique_witness(_load_graph(args), args.r)
+        head, tail = {"psd": is_psd(a), "pattern_exact": True}, {}
     else:
         a = build_h43_witness(args.a15_6, args.a3_12, args.a3_14, args.root)
-        s = singular_values(a)
-        rank = numeric_rank(a)
-        stats = {
-            "order": 8,
-            "rank": rank,
-            "nullity": 8 - rank,
-            "rank_gap": rank_gap(a, rank),
-            "sigma_max": float(s[0]),
-        }
+        head, tail = {}, {"sigma_max": float(singular_values(a)[0])}
+    rank = numeric_rank(a)
+    stats = {"order": a.shape[0], "rank": rank, "nullity": a.shape[0] - rank,
+             **head, "rank_gap": rank_gap(a, rank), **tail}
     if args.out:
         with open(args.out, "w") as fh:
             write_matrix(a, fh)

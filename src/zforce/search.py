@@ -65,12 +65,11 @@ class OsSet:
 
 @dataclass(frozen=True)
 class OsCheck:
-    ok: bool
     failing_index: int | None = None  # 1-based position k of first violation
     reason: str | None = None
 
     def __bool__(self):
-        return self.ok
+        return self.reason is None
 
 
 def _guard(n: int, limit: int, what: str):
@@ -261,24 +260,22 @@ def os_from_psd_set(g: Graph, x: VertexSet) -> OsSet:
 def verify_os_set(g: Graph, s: OsSet) -> OsCheck:
     """Check the three OS conditions at every position, by direct computation."""
     if len(s.order) != len(s.witnesses):
-        return OsCheck(False, None, "order and witness sequences differ in length")
+        return OsCheck(None, "order and witness sequences differ in length")
     if any(not 0 <= v < g.n for v in s.order + s.witnesses):
-        return OsCheck(False, None, "vertex id out of range")
+        return OsCheck(None, "vertex id out of range")
     if len(set(s.order)) != len(s.order):
-        return OsCheck(False, None, "repeated vertex in the order sequence")
+        return OsCheck(None, "repeated vertex in the order sequence")
     placed = 0
     for k, (v, w) in enumerate(zip(s.order, s.witnesses), start=1):
         placed |= 1 << v
         if (placed >> w) & 1:
-            return OsCheck(False, k, f"witness {w} already placed at step {k}")
+            return OsCheck(k, f"witness {w} already placed at step {k}")
         if not g.has_edge(w, v):
-            return OsCheck(False, k, f"witness {w} not adjacent to {v}")
+            return OsCheck(k, f"witness {w} not adjacent to {v}")
         h_k = component_mask(g.adj, placed, v)
         if g.adj[w] & (h_k & ~(1 << v)):
-            return OsCheck(
-                False, k, f"witness {w} has another neighbor in the component of {v}"
-            )
-    return OsCheck(True)
+            return OsCheck(k, f"witness {w} has another neighbor in the component of {v}")
+    return OsCheck()
 
 
 def maximum_os_set(g: Graph, *, limit: int = DEFAULT_OS_LIMIT) -> OsSet:
@@ -345,7 +342,8 @@ def psd_set_from_os(g: Graph, s: OsSet) -> VertexSet:
     """Complement of an OS-set; always a psd forcing set."""
     check = verify_os_set(g, s)
     if not check:
-        raise GraphError(f"invalid OS-set: {check.reason} (position {check.failing_index})")
+        where = "" if check.failing_index is None else f" (position {check.failing_index})"
+        raise GraphError(f"invalid OS-set: {check.reason}{where}")
     result = VertexSet.of(g.n, set(range(g.n)) - set(s.order))
     if not is_forcing_set(g, result, "psd"):
         raise InvariantViolation("complement of a valid OS-set must psd-force")

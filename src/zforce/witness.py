@@ -34,11 +34,10 @@ class DegenerateParameters(WitnessError):
 
 @dataclass(frozen=True)
 class PatternCheck:
-    ok: bool
     first_mismatch: tuple[int, int] | None = None
 
     def __bool__(self):
-        return self.ok
+        return self.first_mismatch is None
 
 
 def numeric_rank(a: np.ndarray) -> int:
@@ -91,8 +90,8 @@ def support_matches(a: np.ndarray, pattern: np.ndarray) -> PatternCheck:
     wrong = np.argwhere((np.abs(a) > thresh) != pattern.astype(bool))
     if len(wrong):
         i, j = wrong[0]  # row-major: the first mismatch in reading order
-        return PatternCheck(False, (int(i), int(j)))
-    return PatternCheck(True)
+        return PatternCheck((int(i), int(j)))
+    return PatternCheck()
 
 
 def is_psd(a: np.ndarray) -> bool:

@@ -131,7 +131,7 @@ def _minus_one(ids):
     ["param", "--family", "path", "3", "--certificate"],
     ["bounds", "--family", "pinwheel12"],
     ["os", "--family", "mobius_ladder", "8"],
-    ["witness", "tree-clique", "--tree-family", "path", "3", "--r", "2"],
+    ["witness", "tree-clique", "--family", "path", "3", "--r", "2"],
     ["witness", "h43"],
 ])
 def test_json_output_is_one_document(capsys, argv):
@@ -155,15 +155,20 @@ def test_exit_code_parse_error(capsys):
     ("bounds", "--family", "path", "3", "--workers", "2"),
     ("bounds", "--family", "path", "3", "--search-limit", "30"),
     ("reproduce", "--workers", "2"),
-    ("witness", "tree-clique", "--tree-family", "path", "2", "--r", "2",
+    ("witness", "tree-clique", "--family", "path", "2", "--r", "2",
      "--tol", "1e-6"),
     ("witness", "h43", "--tol", "1e-6"),
     ("param", "--family", "path", "3", "--workers", "2"),
+    # the graph comes in through --g6, so the old tree flags are the only fault
+    ("witness", "tree-clique", "--g6", "Bg", "--r", "2", "--tree", "Bg"),
+    ("witness", "tree-clique", "--g6", "Bg", "--r", "2", "--tree-family", "path", "3"),
 ])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+    removed = next(a for a in reversed(argv) if a.startswith("--"))
+    assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_n", ["0", "-3"])
@@ -224,7 +229,7 @@ def test_exit_code_huge_family_parameter(capsys):
 
 
 def test_exit_code_huge_tree_clique_witness(capsys):
-    code, _, err = run(capsys, "witness", "tree-clique", "--tree-family", "path",
+    code, _, err = run(capsys, "witness", "tree-clique", "--family", "path",
                        "2", "--r", "1000000")
     assert code == 3 and "refused" in err
 
@@ -274,7 +279,7 @@ def test_witness_h43_writes_matrix(tmp_path, capsys):
      "53bebf773a3c1c06126dd19b557217cfbee75b861fc71a94a0af68bd727d608b"),
     (("witness", "h43", "--root", "omega-bar"),
      "af1e0c537ceba8d0e6ed410481e310072417ac4a1d0fc867cd03546be86478e3"),
-    (("witness", "tree-clique", "--tree-family", "path", "3", "--r", "2"),
+    (("witness", "tree-clique", "--family", "path", "3", "--r", "2"),
      "cb62e1ff406cf68358a21ef7796f56f7db10e3ed4e83324fb901a768beb1b056"),
 ])
 def test_written_witness_is_pinned_byte_for_byte(tmp_path, capsys, argv, sha256):
@@ -285,18 +290,23 @@ def test_written_witness_is_pinned_byte_for_byte(tmp_path, capsys, argv, sha256)
 
 
 def test_witness_tree_clique_from_graph6(tmp_path, capsys):
+    """The tree comes through the shared graph flags, each giving the same P3."""
+    g6_file, edge_file = tmp_path / "t.g6", tmp_path / "t.edges"
+    g6_file.write_text("Bg\n")
+    edge_file.write_text("1 2\n2 3\n")
     out_file = tmp_path / "w.mat"
     runs = []
-    for tree in (("--tree", "Bg"), ("--tree-family", "path", "3")):
+    for tree in (("--g6", "Bg"), ("--g6", str(g6_file)), ("--edges", str(edge_file)),
+                 ("--family", "path", "3")):
         code, out, _ = run(capsys, "witness", "tree-clique", *tree, "--r", "2",
                            "--json", "--out", str(out_file))
         assert code == 0
         runs.append((json.loads(out), out_file.read_bytes()))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def test_witness_tree_clique(capsys):
-    code, out, _ = run(capsys, "witness", "tree-clique", "--tree-family",
+    code, out, _ = run(capsys, "witness", "tree-clique", "--family",
                        "path", "2", "--r", "3", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -351,7 +361,7 @@ def test_family_with_bad_params(capsys):
 
 @pytest.mark.parametrize("argv, bad", [
     (("param", "--family", "cycle", "x"), "x"),
-    (("witness", "tree-clique", "--tree-family", "path", "2.5", "--r", "2"), "2.5"),
+    (("witness", "tree-clique", "--family", "path", "2.5", "--r", "2"), "2.5"),
 ])
 def test_family_with_non_integer_param(argv, bad, capsys):
     code, out, err = run(capsys, *argv)

@@ -187,6 +187,27 @@ def test_both_twins_reject_k_outside_1_to_n(kc, scan, k):
             getattr(mod, scan)(g.adj, g.n, k, False)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    ("closure_standard", ((2, 5, 2), 3, -1), "mask does not fit in n bits"),
+    ("closure_standard", ((2, 5, 2), 3, 32), "mask does not fit in n bits"),
+    ("closure_psd", ((2, 5, 2), 3, 8), "mask does not fit in n bits"),
+    ("closure_standard", ((2, 5), 3, 1), "adj has fewer than n rows"),
+    ("closure_psd", ((2, 5), 3, 1), "adj has fewer than n rows"),
+    ("first_forcing_lex", ((2, 5, 10), 3, 1, False), "mask does not fit in n bits"),
+    ("all_forcing_lex", ((2, 5, 10), 3, 1, False), "mask does not fit in n bits"),
+    ("all_forcing_lex", ((2, -5, 2), 3, 1, True), "mask does not fit in n bits"),
+    ("first_forcing_lex", ((2, 5), 3, 1, True), "adj has fewer than n rows"),
+    ("all_forcing_lex", ((2, 5), 3, 4, False), "need 1 <= k <= n"),
+])
+@pytest.mark.parametrize("twin", ["kc", "kpy"])
+def test_both_twins_reject_malformed_input_alike(request, twin, fn, args, message):
+    """k first, then the row count, each of the first n rows, the black mask."""
+    mod = request.getfixturevalue("kc") if twin == "kc" else kpy
+    with pytest.raises(ValueError) as exc:
+        getattr(mod, fn)(*args)
+    assert str(exc.value) == message
+
+
 def test_both_backends_give_the_same_search_end_to_end(kc, monkeypatch, cold_memo):
     graphs = [family("pinwheel12"), family("mobius_ladder", [12]),
               random_graph(random.Random(12), 12, 0.4)]

@@ -20,6 +20,7 @@ import zforce.search
 from zforce import (
     Graph,
     GraphError,
+    OsCheck,
     PatternCheck,
     SizeLimitError,
     VertexSet,
@@ -523,8 +524,13 @@ class TestOsSets:
         from zforce import OsSet
 
         g = family("path", [3])
-        with pytest.raises(GraphError):
-            psd_set_from_os(g, OsSet((0,), (2,)))
+        # the message names a position only when the fault has one
+        for s, message in ((OsSet((0,), (2,)), "witness 2 not adjacent to 0 (position 1)"),
+                           (OsSet((0, 1), (1,)),
+                            "order and witness sequences differ in length")):
+            with pytest.raises(GraphError) as exc:
+                psd_set_from_os(g, s)
+            assert str(exc.value) == f"invalid OS-set: {message}"
 
     def test_os_size_guard(self):
         with pytest.raises(SizeLimitError):
@@ -573,7 +579,7 @@ REMOVED_PARAMETERS = [
     (pattern_matches, (np.eye(3), P3), "tol"),
     (support_matches, (np.eye(2), np.eye(2)), "tol"),
     (is_psd, (np.eye(2),), "tol"),
-    (PatternCheck, (True,), "tol"),
+    (PatternCheck, (), "tol"),
     (build_tree_clique_witness, (family("path", [2]), 2), "alpha_schedule"),
     (certificate, (derived_set(P3, VertexSet.of(3, [0])),), "one_based"),
     (min_zfs_intersection, (P3,), "limit"),
@@ -602,5 +608,8 @@ def test_removed_names_are_gone():
                         (forcing, "derived_mask")):
         assert not hasattr(owner, name) and not hasattr(zforce, name), name
     assert [f.name for f in dataclasses.fields(Force)] == ["forcer", "forced", "component"]
+    # a verdict stores only its fault; bool() says whether there is one
+    assert [f.name for f in dataclasses.fields(PatternCheck)] == ["first_mismatch"]
+    assert [f.name for f in dataclasses.fields(OsCheck)] == ["failing_index", "reason"]
     log = derived_set(P3, VertexSet.of(3, [0]))
     assert chains(log) == ((0, 1, 2),)

@@ -109,7 +109,7 @@ class TestPatternChecks:
             first = next(((i, j) for i in range(n) for j in range(n) if i != j
                           and (abs(a[i, j]) > thresh) != g.has_edge(i, j)), None)
             check = pattern_matches(a, g)
-            assert (check.ok, check.first_mismatch) == (first is None, first)
+            assert (bool(check), check.first_mismatch) == (first is None, first)
 
 
 class TestIsPsd:
