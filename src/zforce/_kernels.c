@@ -1,14 +1,14 @@
 /* Compiled forcing kernels for orders up to 64 (single-word bitsets).
  *
  * Twin of _kernels_py: same call signatures and the same failed-closure
- * cache policy, so search results and node counts match the pure path
- * exactly.  Every mask and adjacency row is checked to fit in n bits and
- * every start vertex to lie in 0..n-1, so no shift reaches 64.
+ * cache policy (the 64 most recent failed closures, oldest replaced first),
+ * so search results and node counts match the pure path exactly.  Every
+ * mask and adjacency row is checked to fit in n bits and every start vertex
+ * to lie in 0..n-1, so no shift reaches 64.
  *
- * The cache holds the same 64 entries in the same ring slots as the pure
- * twin's list, but stored by vertex (see FailedCache): col[v] has bit i set
- * when entry i holds v, so "is m inside some entry" is an AND over the bits
- * of m that stops at 0, not 64 compares.
+ * The cache holds the pure twin's deque entries in 64 ring slots stored by
+ * vertex (see FailedCache): col[v] has bit i set when slot i holds v, so "is m
+ * inside some entry" is an AND over m's bits that stops at 0, not 64 compares.
  *
  * One closure loop serves both rules: the standard rule is the psd loop with
  * one component, the whole white set.
@@ -151,8 +151,8 @@ covered(const FailedCache *fc, u64 m)
     return hit != 0;
 }
 
-/* Write d to ring slot stores % CACHE_CAP, as the pure twin does with its
- * list. */
+/* Write d to ring slot stores % CACHE_CAP, so the cache keeps the 64 most
+ * recent failed closures, oldest replaced first, as the pure twin's deque. */
 static void
 remember(FailedCache *fc, u64 d)
 {

@@ -2,16 +2,17 @@
 
 Reference implementation of the hot loops; works for any order because
 masks are plain Python ints.  The compiled twin in _kernels.c mirrors
-these semantics exactly (including the failed-closure cache policy, so
-node counts agree) for n <= 64.  k-subsets are scanned in
-`itertools.combinations(range(n), k)` order, which is lexicographic.  One
-closure loop serves both rules: the standard rule is the psd loop with one
-component, the whole white set.
+these semantics exactly for n <= 64, including the failed-closure cache
+policy (the 64 most recent failed closures, oldest replaced first), so node
+counts agree.  k-subsets are scanned in `itertools.combinations(range(n), k)`
+order, which is lexicographic.  One closure loop serves both rules: the
+standard rule is the psd loop with one component, the whole white set.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import deque
 from itertools import combinations, dropwhile, islice
 
 from .graph import component_mask
@@ -88,8 +89,8 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
             or any(a >= b for a, b in zip(start, start[1:]))):
         raise ValueError("start must be k strictly increasing vertices in 0..n-1")
     combs = dropwhile(start.__gt__, combinations(range(n), k))
-    explored = stores = 0
-    failed: list[int] = []
+    explored = 0
+    failed = deque(maxlen=_CACHE_CAP)
     for c in islice(combs, None if count < 0 else count):
         mask = 0
         for i in c:
@@ -102,13 +103,7 @@ def first_forcing_lex(adj, n, k, psd, start=None, count=-1):
             d = closure(adj, n, mask, psd)
             if d == full:
                 return mask, explored
-            # d contains mask, which no entry contains, so d is new: store
-            # it, overwriting the ring slot `stores % _CACHE_CAP` once full
-            if stores < _CACHE_CAP:
-                failed.append(d)
-            else:
-                failed[stores % _CACHE_CAP] = d
-            stores += 1
+            failed.append(d)  # d contains mask, which no entry contains, so d is new
     return None, explored
 
 

@@ -81,6 +81,9 @@ def path_cover_number(g: Graph) -> PathCover:
         return best
 
     cover = solve((1 << g.n) - 1)
+    # solve reaches itself through its closure, so the memo would otherwise
+    # live until the cyclic GC next runs
+    solve.cache_clear()
     _check_path_cover(g, cover)
     return PathCover(len(cover), cover)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the reproduction suite")
     p.add_argument("--only", action="append", metavar="NAME",
                    help="run only the named criteria (repeatable)")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=int, default=math.inf,
                    help="cap the exhaustive sweeps at this order (at least 1)")
     p.add_argument("--list", action="store_true", help="list criterion names")
     return ap

@@ -100,11 +100,14 @@ def chains(log: ForceLog) -> tuple[tuple[int, ...], ...]:
         raise GraphError("forcing chains are defined for the standard rule only")
     if not log.is_complete():
         raise GraphError("forcing chains require a complete log (derived = V)")
-    succ = {}
+    succ, forced = {}, set(log.initial)
     for f in log.forces:
         if f.forcer in succ:
-            raise GraphError("corrupt log: a vertex forced twice")
+            raise GraphError("corrupt log: a vertex forces twice")
+        if f.forced in forced:
+            raise GraphError(f"corrupt log: vertex {f.forced} is initial or forced twice")
         succ[f.forcer] = f.forced
+        forced.add(f.forced)
     out = []
     for z in sorted(log.initial):
         chain = [z]

@@ -186,41 +186,30 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise ParseError(f"trailing garbage at byte offset {pos + nbytes}")
+    bits = "".join(f"{b - 63:06b}" for b in body)
     rows = [0] * n
-    idx = 0
-    # upper triangle, column by column: (0,1), (0,2), (1,2), (0,3), ...
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[idx // 6] - 63
-            if (byte >> (5 - idx % 6)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    # padding bits must be zero for a canonical string
-    while idx < 6 * nbytes:
-        if (body[idx // 6] - 63) >> (5 - idx % 6) & 1:
-            raise ParseError(f"nonzero padding bit at bit index {idx}")
-        idx += 1
+    for (i, j), bit in zip(_upper_triangle(n), bits):
+        if bit == "1":
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    idx = bits.find("1", nbits)  # padding bits must be zero for a canonical string
+    if idx >= 0:
+        raise ParseError(f"nonzero padding bit at bit index {idx}")
     return Graph(n, rows)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 string (inverse of parse_graph6)."""
-    n = g.n
-    out = _write_order(n)
-    bits = 0
-    nbits = 0
-    chunks = []
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(63 + bits))
-                bits, nbits = 0, 0
-    if nbits:
-        chunks.append(chr(63 + (bits << (6 - nbits))))
-    return out + "".join(chunks)
+    bits = "".join(str(g.adj[i] >> j & 1) for i, j in _upper_triangle(g.n))
+    bits += "0" * (-len(bits) % 6)
+    return _write_order(g.n) + "".join(
+        chr(63 + int(bits[p:p + 6], 2)) for p in range(0, len(bits), 6))
+
+
+def _upper_triangle(n: int):
+    """graph6's bit order: the upper triangle column by column,
+    (0,1), (0,2), (1,2), (0,3), ..."""
+    return ((i, j) for j in range(1, n) for i in range(j))
 
 
 def _read_order(data: bytes) -> tuple[int, int]:

@@ -11,6 +11,7 @@ covers all graphs of that order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -111,6 +112,12 @@ def random_connected_graphs(count: int, orders):
     return out
 
 
+def _random_panel(max_n) -> list[Graph]:
+    """200 random connected graphs, of orders 7 and 8 in turn, up to max_n."""
+    orders = [n for n in (7, 8) if n <= max_n]
+    return random_connected_graphs(200, orders) if orders else []
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -127,7 +134,7 @@ def criterion_pinwheel(max_n=None) -> CriterionResult:
     return _result("pinwheel", checks)
 
 
-def criterion_trees(max_n=10) -> CriterionResult:
+def criterion_trees(max_n=math.inf) -> CriterionResult:
     hi = min(max_n, 10)
     trees = all_trees_upto(hi)
     for n in range(3, min(hi, 6) + 1):  # labeled exhaustion where it is cheap
@@ -146,13 +153,11 @@ def criterion_trees(max_n=10) -> CriterionResult:
     return _result("trees", checks)
 
 
-def criterion_duality(max_n=8) -> CriterionResult:
+def criterion_duality(max_n=math.inf) -> CriterionResult:
     hi = min(max_n, 6)
     graphs = connected_graphs_upto(hi)
     exhaustive = len(graphs)
-    orders = [n for n in (7, 8) if n <= max_n]
-    if orders:
-        graphs += random_connected_graphs(200, orders)
+    graphs += _random_panel(max_n)
     sampled = len(graphs) - exhaustive
     bad = 0
     for g in graphs:
@@ -165,7 +170,7 @@ def criterion_duality(max_n=8) -> CriterionResult:
     return _result("duality", checks)
 
 
-def criterion_reversal(max_n=7) -> CriterionResult:
+def criterion_reversal(max_n=math.inf) -> CriterionResult:
     hi = min(max_n, 7)
     tested = bad = 0
     for g in connected_graphs_upto(hi):
@@ -181,7 +186,7 @@ def criterion_reversal(max_n=7) -> CriterionResult:
     return _result("reversal", checks)
 
 
-def criterion_intersection(max_n=7) -> CriterionResult:
+def criterion_intersection(max_n=math.inf) -> CriterionResult:
     """min_zfs_intersection is empty, and minimum-set vertices keep an outside neighbor."""
     hi = min(max_n, 7)
     graphs = [g for g in connected_graphs_upto(hi) if g.n >= 2]
@@ -203,11 +208,8 @@ def criterion_intersection(max_n=7) -> CriterionResult:
     return _result("intersection", checks)
 
 
-def criterion_sandwich(max_n=8) -> CriterionResult:
-    graphs = connected_graphs_upto(min(max_n, 7))
-    orders = [n for n in (7, 8) if n <= max_n]
-    if orders:
-        graphs += random_connected_graphs(200, orders)
+def criterion_sandwich(max_n=math.inf) -> CriterionResult:
+    graphs = connected_graphs_upto(min(max_n, 7)) + _random_panel(max_n)
     bad = 0
     for g in graphs:
         try:  # checks the chain and the cover witnesses
@@ -356,13 +358,12 @@ CRITERIA = (
 )
 
 
-def run_suite(only=None, max_n=None):
+def run_suite(only=None, max_n=math.inf):
     """Run all (or the named) criteria; returns the list of results.
 
-    max_n caps every exhaustive sweep at that order (at least 1); None runs
-    each sweep at its own default.
+    max_n caps every exhaustive sweep at that order (at least 1); each sweep
+    also stops at its own largest order.
     """
-    if max_n is not None and max_n < 1:
+    if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    cap = {} if max_n is None else {"max_n": max_n}
-    return [fn(**cap) for name, fn in CRITERIA if not only or name in only]
+    return [fn(max_n=max_n) for name, fn in CRITERIA if not only or name in only]

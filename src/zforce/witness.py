@@ -29,7 +29,8 @@ class WitnessError(RuntimeError):
 
 
 class DegenerateParameters(WitnessError):
-    """Free parameters that are zero, not finite, or zero a required entry."""
+    """Free parameters that are zero or not finite, or that make a required
+    entry zero, negligible or not finite."""
 
 
 @dataclass(frozen=True)
@@ -262,10 +263,13 @@ def build_h43_witness(
         ],
         dtype=complex,
     )
-    check = support_matches(a, H43_SUPPORT)
-    if not check:
-        i, j = check.first_mismatch
-        fault = ("degenerated to zero" if a[i, j] == 0
+    nonfinite = np.argwhere(~np.isfinite(a))  # row-major: first in reading order
+    first = (nonfinite[0] if len(nonfinite)
+             else support_matches(a, H43_SUPPORT).first_mismatch)
+    if first is not None:
+        i, j = first
+        fault = ("is not finite" if not cmath.isfinite(a[i, j])
+                 else "degenerated to zero" if a[i, j] == 0
                  else f"is below {PATTERN_TOL:g} times the largest entry")
         raise DegenerateParameters(
             f"entry at row vertex {H43_ROW_VERTICES[i]}, column vertex "

@@ -4,6 +4,8 @@ Oracles: path covers are re-derived by brute force over ordered vertex
 partitions; clique covers by sweeping all subsets of the maximal cliques.
 """
 
+import functools
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -188,6 +190,32 @@ class TestPathCover:
             path_cover_number(g)
             assert len(calls) <= g.n
 
+    def test_memo_is_freed_on_return(self):
+        # solve reaches itself through its closure, so a memo left filled
+        # would stay alive until the cyclic GC ran
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                path_cover_number(family("pinwheel12"))
+            memos = [o for o in gc.get_objects()
+                     if isinstance(o, functools._lru_cache_wrapper)
+                     and o.__qualname__ == "path_cover_number.<locals>.solve"]
+        finally:
+            gc.enable()
+        assert len(memos) == 3
+        assert all(m.cache_info().currsize == 0 for m in memos)
+
+    @pytest.mark.parametrize("name,cover,fault", [
+        ("path", ((0, 2), (1,)), "has a non-edge step"),
+        ("complete", ((0, 1, 2),), "is not induced"),
+        ("path", ((0, 1), (1, 2)), "paths overlap"),
+        ("path", ((0, 1),), "does not cover V"),
+    ])
+    def test_witness_check_names_the_fault(self, name, cover, fault):
+        with pytest.raises(InvariantViolation, match=f"path cover witness {fault}"):
+            zforce.bounds._check_path_cover(family(name, [3]), cover)
+
 
 class TestCliqueCover:
     def test_examples(self):
@@ -248,6 +276,14 @@ class TestCliqueCover:
         for g, cliques in cases:
             res = clique_cover_number(g)
             assert (res.number, res.cliques) == (len(cliques), cliques)
+
+    @pytest.mark.parametrize("cover,fault", [
+        (((0, 1, 2),), "is not a clique"),
+        (((0, 1),), "misses an edge"),
+    ])
+    def test_witness_check_names_the_fault(self, cover, fault):
+        with pytest.raises(InvariantViolation, match=f"clique cover witness {fault}"):
+            zforce.bounds._check_clique_cover(family("path", [3]), cover)
 
 
 class TestMaximalCliques:

@@ -256,6 +256,15 @@ def test_witness_small_entry_is_not_called_zero(capsys, arg):
     assert "degenerated to zero" not in err
 
 
+def test_witness_overflowed_entry_is_named(capsys):
+    # entries (7,14), (11,14) and (15,14) overflow; the first in reading order
+    # is named, not a finite entry that the overflow dwarfs
+    code, out, err = run(capsys, "witness", "h43", "--a15-6=1e200", "--a3-14=1e200")
+    assert code == 2 and out == ""
+    assert err == ("error: entry at row vertex 7, column vertex 14 is not finite; "
+                   "pick different free parameters\n")
+
+
 def test_witness_negative_free_parameters(capsys):
     code, out, _ = run(capsys, "witness", "h43", "--a15-6=-1j", "--a3-12=-1j",
                        "--a3-14=-1j", "--json")

@@ -1,10 +1,15 @@
 """Canonical force logs, chains, reversals, certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import zforce
 from zforce import (
     Force,
     ForceLog,
@@ -180,8 +185,40 @@ class TestChains:
             chains(derived_set(g, VertexSet.of(4, [1])))  # stalls, not complete
         twice = ForceLog(VertexSet.of(3, [0]), "standard",
                          (Force(0, 1), Force(0, 2)), VertexSet.full(3))
-        with pytest.raises(GraphError, match="corrupt log: a vertex forced twice"):
+        with pytest.raises(GraphError, match="corrupt log: a vertex forces twice"):
             chains(twice)
+
+    def test_rejects_a_vertex_forced_twice(self):
+        overlap = ForceLog(VertexSet.of(3, [0, 1]), "standard",
+                           (Force(0, 2), Force(1, 2)), VertexSet.full(3))
+        for fn in (chains, reversal):
+            with pytest.raises(GraphError,
+                               match="corrupt log: vertex 2 is initial or forced twice"):
+                fn(overlap)
+
+    def test_rejects_a_cyclic_log_without_walking_it(self):
+        # the walk along 0 -> 1 -> 0 -> ... never ends, so it runs in a child
+        # whose address space is capped: a regression fails with MemoryError
+        # or the timeout instead of hanging the suite
+        code = (
+            "import resource\n"
+            "from zforce import Force, ForceLog, GraphError, VertexSet, chains\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, hard))\n"
+            "log = ForceLog(VertexSet.of(2, [0]), 'standard',\n"
+            "               (Force(0, 1), Force(1, 0)), VertexSet.full(2))\n"
+            "try:\n"
+            "    chains(log)\n"
+            "except GraphError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(zforce.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "corrupt log: vertex 0 is initial or forced twice\n"
 
 
 class TestReversal:

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from zforce import Graph, reproduce
+from zforce import Graph, InvariantViolation, VertexSet, reproduce
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,3 +94,43 @@ def test_trees_honour_small_max_n():
 def test_run_suite_rejects_max_n_below_one(max_n):
     with pytest.raises(ValueError):
         reproduce.run_suite(max_n=max_n)
+
+
+def _raise_violation(g):
+    raise InvariantViolation("planted")
+
+
+# (criterion, name patched in zforce.reproduce, replacement given the
+# original, the failing check's message): each replacement breaks exactly
+# the relationship its criterion counts violations of
+PLANTED_VIOLATIONS = [
+    ("trees", "zero_forcing_number",
+     lambda zfn: lambda g, rule: SimpleNamespace(value=zfn(g, rule).value + (rule == "psd")),
+     "Z+ = 1 on all 24 trees (n <= 4); 24 violations"),
+    ("trees", "path_cover_number",
+     lambda pcn: lambda g: SimpleNamespace(number=pcn(g).number + 1),
+     "P = Z on all 24 trees; 24 violations"),
+    ("duality", "maximum_os_set", lambda os_set: lambda g: range(g.n),
+     "OS + Z+ = n on 10 connected classes (n <= 4) and 0 random graphs; 10 violations"),
+    ("reversal", "is_forcing_set", lambda is_forcing: lambda g, s, rule: False,
+     "reversal of 30 minimum-set logs (n <= 4) is again forcing; 30 failures"),
+    ("intersection", "min_zfs_intersection", lambda mzi: lambda g: VertexSet.full(g.n),
+     "empty minimum-set intersection on all 9 connected classes, 2 <= n <= 4; "
+     "9 violations"),
+    ("intersection", "all_minimum_zfs",
+     lambda amz: lambda g, rule: [VertexSet.full(g.n)],
+     "every minimum-set vertex keeps an outside neighbor; 32 violations"),
+    ("sandwich", "bounds_report", lambda report: _raise_violation,
+     "delta <= Z+ <= Z, P <= Z, n - cc <= Z+ on 10 graphs; 10 violations"),
+]
+
+
+@pytest.mark.parametrize("criterion,target,replace,message", PLANTED_VIOLATIONS,
+                         ids=[f"{c[0]}-{c[1]}" for c in PLANTED_VIOLATIONS])
+def test_criterion_counts_planted_violations(monkeypatch, criterion, target,
+                                             replace, message):
+    monkeypatch.setattr(reproduce, target, replace(getattr(reproduce, target)))
+    fn = dict(reproduce.CRITERIA)[criterion]
+    result = fn(max_n=4)
+    assert not result.passed
+    assert message in result.lines

@@ -211,6 +211,11 @@ class TestH43Witness:
         with pytest.raises(DegenerateParameters, match=f"{name} must be finite"):
             build_h43_witness(**{name: value})
 
+    def test_overflowed_entry_rejected(self):
+        with pytest.raises(DegenerateParameters,
+                           match="row vertex 7, column vertex 14 is not finite"):
+            build_h43_witness(a15_6=1e200, a3_14=1e200)
+
     def test_pivotal_ratio_is_primitive_root(self):
         a = build_h43_witness(a15_6=2.0)
         # a(7,4) sits at row vertex 7, column vertex 4; a(15,6) at 15, 6
