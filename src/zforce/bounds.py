@@ -140,6 +140,13 @@ def clique_cover_number(g: Graph) -> CliqueCover:
     loses nothing for edge covers).  Edge {u < v} is bit u*n + v of an edge
     mask, so the lowest uncovered bit is the lexicographically first
     uncovered edge.  An edgeless graph stops at the root with 0 cliques.
+
+    The depth-first search takes the lowest uncovered edge, then each
+    maximal clique on it in `maximal_cliques` order.  A complete cover
+    replaces the witness without a size test, and once the first cover of
+    least size is found the prune stops every branch but its siblings, so
+    the witness is the last cover in that order with the same parent (all
+    cliques but the last) as the first cover of least size.
     """
     n = g.n
     full = _edge_mask(n, g.adj)

@@ -1,13 +1,18 @@
 """Path cover, clique cover, and the assembled bound report.
 
-Oracles: path covers are re-derived by brute force over ordered vertex
-partitions; clique covers by sweeping all subsets of the maximal cliques.
+Oracles: `oracle_path_cover` re-derives the path cover number by brute force
+over ordered vertex partitions, and `reference_path_cover` the witness by an
+unpruned DP over the reference path tables; `oracle_clique_cover` sweeps all
+subsets of the maximal cliques for the number, and `reference_clique_cover`
+walks every cover for the witness.
 """
 
 import functools
 import gc
 import random
+import re
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,19 +31,7 @@ from zforce import (
     zero_forcing_number,
 )
 from zforce.reproduce import connected_graphs_upto
-from helpers import random_graph
-from test_search import disconnected_graphs
-
-
-def is_induced_path(g, order):
-    for a, b in zip(order, order[1:]):
-        if not g.has_edge(a, b):
-            return False
-    for i, a in enumerate(order):
-        for b in order[i + 2:]:
-            if g.has_edge(a, b):
-                return False
-    return True
+from helpers import disconnected_graphs, is_induced_path, random_graph
 
 
 def oracle_path_cover(g):
@@ -72,6 +65,29 @@ def oracle_clique_cover(g):
             if covered >= edges:
                 return m
     raise AssertionError
+
+
+def reference_clique_cover(g):
+    """Unpruned clique cover witness, walking every cover in the library's
+    depth-first order: the lowest uncovered edge first, then each maximal
+    clique on it in table order.  The library keeps the first cover of
+    least size, then each later cover with the same parent (all cliques but
+    the last), so the last of those siblings is its witness."""
+    cliques = maximal_cliques(g)
+    covers = []
+
+    def walk(uncovered, used):
+        if not uncovered:
+            covers.append(used)
+            return
+        u, v = min(uncovered)
+        for c in cliques:
+            if u in c and v in c:
+                walk(uncovered - set(combinations(c, 2)), used + (c,))
+
+    walk(set(g.edges()), ())
+    least = min(covers, key=len)
+    return [c for c in covers if c[:-1] == least[:-1]][-1]
 
 
 def reference_paths_from(g, v):
@@ -277,6 +293,12 @@ class TestCliqueCover:
             res = clique_cover_number(g)
             assert (res.number, res.cliques) == (len(cliques), cliques)
 
+    def test_matches_unpruned_reference_on_the_atlas(self):
+        for g in connected_graphs_upto(7):
+            res = clique_cover_number(g)
+            want = reference_clique_cover(g)
+            assert (res.number, res.cliques) == (len(want), want), g
+
     @pytest.mark.parametrize("cover,fault", [
         (((0, 1, 2),), "is not a clique"),
         (((0, 1),), "misses an edge"),
@@ -336,6 +358,22 @@ class TestBoundsReport:
         monkeypatch.setattr(zforce.bounds, "_induced_paths_from", no_search)
         with pytest.raises(SizeLimitError, match="clique cover"):
             bounds_report(family("complete", [10]))
+
+    @pytest.mark.parametrize("name, fake, label", [
+        ("clique_cover_number", lambda g: SimpleNamespace(number=8), "n - cc <= Z+"),
+        ("zero_forcing_number",
+         lambda g, rule: SimpleNamespace(value={"standard": 4, "psd": 5}[rule]),
+         "Z+ <= Z"),
+        ("path_cover_number", lambda g: SimpleNamespace(number=5), "P <= Z"),
+        ("min_degree", lambda g: 4, "delta <= Z+"),
+    ], ids=["n-cc<=Z+", "Z+<=Z", "P<=Z", "delta<=Z+"])
+    def test_each_planted_violation_raises(self, monkeypatch, name, fake, label):
+        # pinwheel12 has n 12, cc 9, Z+ 3, Z 4, P 3 and delta 2: each fake
+        # breaks its own check and leaves the other three holding
+        monkeypatch.setattr(zforce.bounds, name, fake)
+        with pytest.raises(InvariantViolation,
+                           match=re.escape(f"bound {label} violated")):
+            bounds_report(family("pinwheel12"))
 
     def test_sandwich_on_random_graphs(self):
         rng = random.Random(7)

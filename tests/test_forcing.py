@@ -27,42 +27,7 @@ from zforce import (
     reversal,
 )
 from zforce.reproduce import connected_graphs_upto
-from helpers import random_graph
-
-
-def white_components(nbrs, white):
-    """Components of the white subgraph, by depth-first search on sets."""
-    parts, left = [], set(white)
-    while left:
-        part, todo = set(), [min(left)]
-        while todo:
-            v = todo.pop()
-            if v in left:
-                left.remove(v)
-                part.add(v)
-                todo.extend(nbrs[v])
-        parts.append(part)
-    return parts
-
-
-def reference_forces(g, initial, rule):
-    """Forces (forcer, forced, component) applied one at a time, read off the
-    rule definitions: black u forces w when w is u's only neighbour in a
-    white part (psd: a component of the white subgraph; standard: the whole
-    white set).  Of all valid forces the smallest (u, w) is applied."""
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
-    black = set(initial)
-    forces = []
-    while True:
-        white = set(range(g.n)) - black
-        parts = white_components(nbrs, white) if rule == "psd" else [white]
-        valid = [(u, min(nbrs[u] & part), part)
-                 for part in parts for u in black if len(nbrs[u] & part) == 1]
-        if not valid:
-            return forces
-        u, w, part = min(valid, key=lambda f: f[:2])
-        forces.append((u, w, part if rule == "psd" else None))
-        black.add(w)
+from helpers import is_induced_path, random_graph, reference_forces
 
 
 class TestDerivedSet:
@@ -165,16 +130,9 @@ class TestChains:
             found += 1
             log = derived_set(g, init)
             cs = chains(log)
-            seen = []
-            for c in cs:
-                seen.extend(c)
-                for a, b in zip(c, c[1:]):
-                    assert g.has_edge(a, b)
-                # a forcing chain induces a path: no chords
-                for i, a in enumerate(c):
-                    for b in c[i + 2:]:
-                        assert not g.has_edge(a, b)
-            assert sorted(seen) == list(range(g.n))
+            for c in cs:  # a forcing chain induces a path
+                assert is_induced_path(g, c), c
+            assert sorted(v for c in cs for v in c) == list(range(g.n))
             assert {c[0] for c in cs} == set(init)
 
     def test_rejects_psd_and_incomplete_logs(self):

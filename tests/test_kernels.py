@@ -1,9 +1,10 @@
 """Compiled and pure kernels agree; closures satisfy the rule definitions.
 
-The oracle here recomputes derived sets with plain Python sets straight
-from the two rule definitions, one force at a time, independently of the
-batched bitmask kernels.  The compiled twin comes from the `kc` fixture
-(tests/conftest.py), which builds it when it is not installed.
+The oracle is `reference_closure` in tests/helpers.py, which recomputes
+derived sets with plain Python sets straight from the two rule definitions,
+one force at a time, independently of the batched bitmask kernels.  The
+compiled twin comes from the `kc` fixture (tests/conftest.py), which always
+builds it from the current `_kernels.c`.
 """
 
 import math
@@ -14,48 +15,9 @@ import pytest
 from zforce import Graph, cartesian_product, family, kernels, search, zero_forcing_number
 from zforce import _kernels_py as kpy
 from zforce.search import _unrank
-from helpers import random_graph
+from helpers import random_graph, reference_closure, reference_forces
 
-
-# --- oracle: one force at a time, straight from the definitions ---
-
-
-def oracle_closure(g: Graph, black: set, rule: str) -> set:
-    black = set(black)
-    while True:
-        force = _any_valid_force(g, black, rule)
-        if force is None:
-            return black
-        black.add(force)
-
-
-def _any_valid_force(g: Graph, black, rule):
-    whites = set(range(g.n)) - black
-    if rule == "standard":
-        for u in black:
-            wn = [w for w in whites if g.has_edge(u, w)]
-            if len(wn) == 1:
-                return wn[0]
-        return None
-    comps = []
-    rem = set(whites)
-    while rem:
-        comp = {min(rem)}
-        stack = [min(rem)]
-        while stack:
-            v = stack.pop()
-            for w in rem:
-                if g.has_edge(v, w) and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-        rem -= comp
-    for u in black:
-        for comp in comps:
-            wn = [w for w in comp if g.has_edge(u, w)]
-            if len(wn) == 1:
-                return wn[0]
-    return None
+CLOSURES = {"standard": kpy.closure_standard, "psd": kpy.closure_psd}
 
 
 @pytest.mark.parametrize("rule", ["standard", "psd"])
@@ -64,13 +26,8 @@ def test_pure_kernel_matches_oracle(rule):
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7]))
         black = {v for v in range(g.n) if rng.random() < 0.3}
-        mask = sum(1 << v for v in black)
-        if rule == "standard":
-            got = kpy.closure_standard(g.adj, g.n, mask)
-        else:
-            got = kpy.closure_psd(g.adj, g.n, mask)
-        want = sum(1 << v for v in oracle_closure(g, black, rule))
-        assert got == want
+        got = CLOSURES[rule](g.adj, g.n, sum(1 << v for v in black))
+        assert got == sum(1 << v for v in reference_closure(g, black, rule))
 
 
 class TestCompiledTwin:
@@ -259,16 +216,13 @@ def test_single_word_boundary_order_64(kc):
 
 @pytest.mark.parametrize("rule", ["standard", "psd"])
 def test_monotonicity(rule):
+    closure = CLOSURES[rule]
     rng = random.Random(37)
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 12), 0.35)
         s = rng.randrange(1 << g.n)
         extra = rng.randrange(1 << g.n)
-        cs = kpy.closure_psd(g.adj, g.n, s) if rule == "psd" else \
-            kpy.closure_standard(g.adj, g.n, s)
-        ct = kpy.closure_psd(g.adj, g.n, s | extra) if rule == "psd" else \
-            kpy.closure_standard(g.adj, g.n, s | extra)
-        assert cs & ~ct == 0
+        assert closure(g.adj, g.n, s) & ~closure(g.adj, g.n, s | extra) == 0
 
 
 def test_standard_closure_within_psd_closure():
@@ -293,7 +247,7 @@ def test_monotonicity_and_dominance_on_every_small_graph():
         for _ in range(3):
             s = rng.randrange(1 << g.n)
             t = s | rng.randrange(1 << g.n)
-            for clo in (kpy.closure_standard, kpy.closure_psd):
+            for clo in CLOSURES.values():
                 assert clo(g.adj, g.n, s) & ~clo(g.adj, g.n, t) == 0
             assert kpy.closure_standard(g.adj, g.n, s) & \
                 ~kpy.closure_psd(g.adj, g.n, s) == 0
@@ -305,7 +259,6 @@ def test_fixpoint_soundness(rule):
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 10), 0.4)
         s = rng.randrange(1 << g.n)
-        derived = kpy.closure_psd(g.adj, g.n, s) if rule == "psd" else \
-            kpy.closure_standard(g.adj, g.n, s)
+        derived = CLOSURES[rule](g.adj, g.n, s)
         black = {v for v in range(g.n) if (derived >> v) & 1}
-        assert _any_valid_force(g, black, rule) is None
+        assert reference_forces(g, black, rule) == []

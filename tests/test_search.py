@@ -1,8 +1,8 @@
 """Exact Z / Z+ search, minimum-set enumeration, and OS-set machinery.
 
-The search oracle below recomputes forcing numbers by sweeping every
-subset with plain Python sets; frozen expected values in the examples were
-computed with it.
+The search oracles are `reference_minimum` and `reference_closure` in
+tests/helpers.py, which sweep every subset with plain Python sets; frozen
+expected values in the examples were computed with them.
 """
 
 import concurrent.futures
@@ -45,32 +45,14 @@ from zforce import (
     zero_forcing_number,
 )
 from zforce.reproduce import connected_graphs_upto, random_connected_graphs
-from helpers import random_graph
-from test_kernels import oracle_closure
-
-
-def disjoint_union(*graphs):
-    edges, off = [], 0
-    for g in graphs:
-        edges += [(u + off, v + off) for u, v in g.edges()]
-        off += g.n
-    return Graph.from_edges(off, edges)
-
-
-def disconnected_graphs(rng, most):
-    """Edgeless graphs of orders 1-6, random graphs with isolated vertices
-    before or after them, and disjoint unions of two random graphs; none has
-    more than `most` vertices."""
-    graphs = [Graph(n, [0] * n) for n in range(1, 7)]
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(2, most - 2), rng.choice([0.4, 0.7]))
-        isolated = Graph.from_edges(rng.randint(1, 2), [])
-        graphs += [disjoint_union(isolated, g), disjoint_union(g, isolated)]
-    for _ in range(10):
-        a = rng.randint(1, most - 1)
-        graphs.append(disjoint_union(random_graph(rng, a),
-                                     random_graph(rng, rng.randint(1, most - a))))
-    return graphs
+from helpers import (
+    disconnected_graphs,
+    disjoint_union,
+    random_graph,
+    reference_closure,
+    reference_minimum,
+    set_components,
+)
 
 
 PINNED_GRAPHS = {
@@ -89,16 +71,11 @@ def reference_os_set(g):
     smallest mask of the last non-empty layer.
     """
     n = g.n
+    nbrs = [set(g.neighbors(v)) for v in range(n)]
 
     def component(s, v):
-        seen, todo = {v}, [v]
-        while todo:
-            u = todo.pop()
-            for x in range(n):
-                if (s >> x) & 1 and g.has_edge(u, x) and x not in seen:
-                    seen.add(x)
-                    todo.append(x)
-        return seen
+        inside = [x for x in range(n) if (s >> x) & 1]
+        return next(part for part in set_components(nbrs, inside) if v in part)
 
     parent, best = {0: None}, 0
     for size in range(1, n + 1):
@@ -127,16 +104,6 @@ def reference_os_set(g):
         wits.insert(0, w)
         s &= ~(1 << v)
     return tuple(order), tuple(wits)
-
-
-def oracle_forcing_number(g, rule):
-    """Independent exact minimum: sweep all subsets by cardinality."""
-    full = set(range(g.n))
-    for k in range(1, g.n + 1):
-        for s in combinations(range(g.n), k):
-            if oracle_closure(g, set(s), rule) == full:
-                return k, set(s)
-    raise AssertionError
 
 
 class TestZeroForcingNumber:
@@ -172,9 +139,8 @@ class TestZeroForcingNumber:
         rng = random.Random(31)
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 7), rng.choice([0.25, 0.5, 0.8]))
-            want, _ = oracle_forcing_number(g, rule)
             res = zero_forcing_number(g, rule)
-            assert res.value == want
+            assert res.value == len(reference_minimum(g, rule))
             assert is_forcing_set(g, res.best, rule)
 
     @pytest.mark.parametrize("rule", ["standard", "psd"])
@@ -195,11 +161,7 @@ class TestZeroForcingNumber:
             b = random_graph(rng, rng.randint(1, 4))
             g = disjoint_union(a, b)
             res = zero_forcing_number(g)
-            first = next(
-                s for s in combinations(range(g.n), res.value)
-                if oracle_closure(g, set(s), "standard") == set(range(g.n))
-            )
-            assert res.best.to_list() == list(first)
+            assert res.best.to_list() == list(reference_minimum(g, "standard"))
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
@@ -234,6 +196,7 @@ class TestZeroForcingNumber:
 
     def test_one_pool_per_call(self, monkeypatch):
         built = use_in_process_pool(monkeypatch)
+        monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
         g = disjoint_union(family("mobius_ladder", [8]), family("star", [3]))
         res = zero_forcing_number(g, "standard", workers=2)
         assert built == [2]
@@ -242,6 +205,16 @@ class TestZeroForcingNumber:
             (6, [0, 1, 2, 3, 9, 10], 50)
         zero_forcing_number(g, "standard", workers=1)
         assert built == [2]
+
+    def test_pool_leaves_small_subset_spaces_whole(self, monkeypatch):
+        # no subset space of pinwheel12 reaches _PARALLEL_MIN_WORK, so the
+        # pooled search scans each k in one piece, at the serial node counts
+        built = use_in_process_pool(monkeypatch)
+        g = family("pinwheel12")
+        for rule, nodes in (("standard", 130), ("psd", 41)):
+            res = zero_forcing_number(g, rule, workers=2)
+            assert res.nodes_explored == nodes
+        assert built == [2, 2]
 
     def test_workers_bounded_by_cpu_count(self):
         pool_size = zforce.search._pool_size
@@ -297,8 +270,7 @@ class TestZeroForcingNumber:
 
 def use_in_process_pool(monkeypatch) -> list[int]:
     """Serve `workers > 1` searches from an in-process stand-in for the pool
-    on a notional 4-CPU host, splitting every subset space; returns the list
-    of pool sizes built."""
+    on a notional 4-CPU host; returns the list of pool sizes built."""
     built = []
 
     class InProcessPool:
@@ -315,7 +287,6 @@ def use_in_process_pool(monkeypatch) -> list[int]:
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
     monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 4)
     return built
 
@@ -351,6 +322,7 @@ class TestScanMemo:
         serial = zero_forcing_number(g, "standard")
         assert serial.nodes_explored == 43
         use_in_process_pool(monkeypatch)
+        monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
         res = zero_forcing_number(g, "standard", workers=2)
         assert (res.value, res.best.to_list(), res.nodes_explored) == \
             (6, [0, 1, 2, 3, 9, 10], 50)
@@ -387,10 +359,10 @@ class TestAllMinimum:
         rng = random.Random(43)
         for _ in range(10):
             g = random_graph(rng, rng.randint(2, 6))
-            k, _ = oracle_forcing_number(g, "standard")
+            k = len(reference_minimum(g, "standard"))
             want = [
                 list(s) for s in combinations(range(g.n), k)
-                if oracle_closure(g, set(s), "standard") == set(range(g.n))
+                if reference_closure(g, s, "standard") == set(range(g.n))
             ]
             assert [s.to_list() for s in all_minimum_zfs(g)] == want
 

@@ -57,6 +57,11 @@ class TestNumericRank:
         with pytest.raises(ValueError):
             numeric_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("small, rank", [(0.5e-8, 1), (2e-8, 2)])
+    def test_tolerance_from_both_sides(self, small, rank):
+        # RANK_TOL is 1e-8 of the largest singular value, here 1
+        assert numeric_rank(np.diag([1.0, small])) == rank
+
     @pytest.mark.parametrize("a, rank", [(np.eye(3), 0), (np.eye(2), 5)])
     def test_rank_gap_rejects_rank_out_of_range(self, a, rank):
         with pytest.raises(ValueError, match="rank out of range"):
@@ -126,6 +131,17 @@ class TestIsPsd:
     def test_complex_hermitian(self):
         a = np.array([[2.0, 1j], [-1j, 2.0]])
         assert is_psd(a)
+
+    @pytest.mark.parametrize("smallest, psd", [(-0.5e-9, True), (-2e-9, False)])
+    def test_eigenvalue_tolerance_from_both_sides(self, smallest, psd):
+        # PSD_TOL is 1e-9 of the largest |eigenvalue|, here 1
+        assert is_psd(np.diag([1.0, smallest])) is psd
+
+    def test_hermitian_tolerance_from_both_sides(self):
+        # HERMITIAN_TOL is an absolute 1e-12 on the largest asymmetry
+        assert is_psd(np.array([[1.0, 0.5e-12], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            is_psd(np.array([[1.0, 2e-12], [0.0, 1.0]]))
 
 
 TREE_CLIQUE_CASES = [
