@@ -95,19 +95,16 @@ def is_forcing_set(g: Graph, s: VertexSet, rule: str = "standard") -> bool:
 def chains(log: ForceLog) -> tuple[tuple[int, ...], ...]:
     """Maximal forcing chains of a complete standard-rule log, one tuple per
     initial vertex in ascending order, from that vertex to the chain's end.
-    Together they partition the vertex set."""
-    if log.rule != "standard":
-        raise GraphError("forcing chains are defined for the standard rule only")
-    if not log.is_complete():
-        raise GraphError("forcing chains require a complete log (derived = V)")
-    succ, forced = {}, set(log.initial)
-    for f in log.forces:
-        if f.forcer in succ:
-            raise GraphError("corrupt log: a vertex forces twice")
-        if f.forced in forced:
-            raise GraphError(f"corrupt log: vertex {f.forced} is initial or forced twice")
-        succ[f.forcer] = f.forced
-        forced.add(f.forced)
+    Together they partition the vertex set.
+
+    The log is checked in one pass over its forces before any chain is
+    walked.  Refused with GraphError: a psd or incomplete log, a vertex
+    outside 0..n-1, a forcer that is not black at its step, a vertex that
+    forces twice, a vertex that is initial or forced twice, and a vertex
+    that is neither initial nor forced.
+    """
+    _forcers(log)
+    succ = {f.forcer: f.forced for f in log.forces}
     out = []
     for z in sorted(log.initial):
         chain = [z]
@@ -118,8 +115,46 @@ def chains(log: ForceLog) -> tuple[tuple[int, ...], ...]:
 
 
 def reversal(log: ForceLog) -> VertexSet:
-    """Set of last vertices of the maximal chains; same size as the initial set."""
-    return VertexSet.of(log.initial.n, (c[-1] for c in chains(log)))
+    """Set of last vertices of the maximal chains; same size as the initial set.
+
+    A chain ends at its one vertex that never forces, so the ends are the
+    vertices outside the log's forcers, read off the same checking pass as
+    `chains` and refused for the same faults.
+    """
+    return VertexSet(log.derived.n, log.derived.mask & ~_forcers(log))
+
+
+def _forcers(log: ForceLog) -> int:
+    """Mask of the forcers of a log that passes `chains`' checks.  In such a
+    log each vertex turns black once and forces at most once, after it
+    turned black, so the forces from the initial vertices reach every vertex
+    once, without a cycle."""
+    if log.rule != "standard":
+        raise GraphError("forcing chains are defined for the standard rule only")
+    if not log.is_complete():
+        raise GraphError("forcing chains require a complete log (derived = V)")
+    n = log.derived.n
+    black, forcers = log.initial.mask, 0
+    if black >> n:
+        raise GraphError(f"corrupt log: initial vertex {black.bit_length() - 1} "
+                         f"leaves 0..{n - 1}")
+    for f in log.forces:
+        u, w = f.forcer, f.forced
+        if not (0 <= u < n and 0 <= w < n):
+            raise GraphError(f"corrupt log: force {u} -> {w} leaves 0..{n - 1}")
+        if not (black >> u) & 1:
+            raise GraphError(f"corrupt log: vertex {u} forces before it is black")
+        if (forcers >> u) & 1:
+            raise GraphError("corrupt log: a vertex forces twice")
+        if (black >> w) & 1:
+            raise GraphError(f"corrupt log: vertex {w} is initial or forced twice")
+        forcers |= 1 << u
+        black |= 1 << w
+    if black != log.derived.mask:
+        missing = log.derived.mask & ~black
+        missing = (missing & -missing).bit_length() - 1
+        raise GraphError(f"corrupt log: vertex {missing} is neither initial nor forced")
+    return forcers
 
 
 def certificate(log: ForceLog) -> str:

@@ -2,9 +2,12 @@
 
 Z and Z+ add over connected components, so each component is searched on
 its own, by k-subsets in lexicographic order from a lower bound up: the
-first hit is an optimum and the lexicographically smallest one.  The lower
-bounds follow the chain delta <= Z+ <= Z: the psd scan starts at the
-minimum degree and the standard scan continues from the Z+ value found.
+first hit is an optimum and the lexicographically smallest one.  Only a
+proper component is induced as a graph of its own; a connected graph is
+scanned as it is, so a query on one adds only a component pass to its
+scan.  The lower bounds follow the chain delta <= Z+ <= Z: the psd scan
+starts at the minimum degree and the standard scan continues from the Z+
+value found.
 A component scan runs once per process: its result is kept in a memo of
 the last _SCAN_MEMO components, keyed by component graph and rule, so a psd
 query followed by a standard query on the same graph, in either order,
@@ -31,7 +34,6 @@ from .graph import (
     VertexSet,
     _bits,
     component_mask,
-    components,
     induced,
 )
 
@@ -83,7 +85,7 @@ def _guard(n: int, limit: int, what: str):
 
 
 def min_degree(g: Graph) -> int:
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(int.bit_count, g.adj))
 
 
 def zero_forcing_number(
@@ -110,21 +112,34 @@ def zero_forcing_number(
     pooled = isinstance(workers, int) and workers > 1
     workers = _pool_size(workers, os.cpu_count() if pooled else 1)
     _guard(g.n, limit, f"zero_forcing_number({rule})")
-    parts = [(g, range(g.n)) if len(comp) == g.n else induced(g, comp)
-             for comp in components(g, VertexSet.full(g.n))]
     if workers == 1:
-        scans = [_serial_scan(sub, rule) for sub, _ in parts]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        # One pool for every component, scan and k; it forks on first use.
-        with ProcessPoolExecutor(workers) as pool:
-            scans = [_scan(sub, rule, workers, pool) for sub, _ in parts]
+        return _sum_components(g, rule, 1, None)
+    from concurrent.futures import ProcessPoolExecutor
+    # One pool for every component, scan and k; it forks on first use.
+    with ProcessPoolExecutor(workers) as pool:
+        return _sum_components(g, rule, workers, pool)
+
+
+def _sum_components(g: Graph, rule: str, workers: int, pool) -> SearchResult:
+    """Add up the scans of g's components, taken in ascending order of their
+    smallest vertex.  Only a proper component is induced and has its set
+    mapped back, so a connected graph is scanned as it is."""
+    full = (1 << g.n) - 1
+    rest = full
     total = mask = nodes = 0
-    for (_, idx), (value, submask, explored) in zip(parts, scans):
+    while rest:
+        comp = component_mask(g.adj, rest, (rest & -rest).bit_length() - 1)
+        rest ^= comp
+        sub, idx = (g, None) if comp == full else induced(g, VertexSet(g.n, comp))
+        value, submask, explored = (_serial_scan(sub, rule) if pool is None
+                                    else _scan(sub, rule, workers, pool))
         total += value
         nodes += explored
-        for v in _bits(submask):
-            mask |= 1 << idx[v]
+        if idx is None:
+            mask |= submask
+        else:
+            for v in _bits(submask):
+                mask |= 1 << idx[v]
     return SearchResult(rule, total, VertexSet(g.n, mask), nodes)
 
 
@@ -170,8 +185,7 @@ def _first_k(sub: Graph, rule: str, lb: int, workers: int, pool):
     n = sub.n
     nodes = 0
     for k in range(lb, n + 1):
-        total = math.comb(n, k)
-        if pool is None or total < _PARALLEL_MIN_WORK:
+        if pool is None or (total := math.comb(n, k)) < _PARALLEL_MIN_WORK:
             results = [kernels.first_forcing_lex(sub.adj, n, k, rule)]
         else:
             chunk = (total + workers - 1) // workers

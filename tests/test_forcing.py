@@ -15,6 +15,7 @@ from zforce import (
     ForceLog,
     GraphError,
     VertexSet,
+    all_minimum_zfs,
     certificate,
     chains,
     components,
@@ -154,6 +155,42 @@ class TestChains:
                                match="corrupt log: vertex 2 is initial or forced twice"):
                 fn(overlap)
 
+    @pytest.mark.parametrize("initial,forces,message", [
+        ([0], [(5, 1), (1, 2)], "force 5 -> 1 leaves 0..2"),
+        ([0], [(0, 1), (1, 3)], "force 1 -> 3 leaves 0..2"),
+        ([0], [(0, -1), (0, 1)], "force 0 -> -1 leaves 0..2"),
+    ], ids=["forcer", "forced", "negative"])
+    def test_rejects_a_vertex_out_of_range(self, initial, forces, message):
+        log = ForceLog(VertexSet.of(3, initial), "standard",
+                       tuple(Force(u, w) for u, w in forces), VertexSet.full(3))
+        for fn in (chains, reversal):
+            with pytest.raises(GraphError, match=f"corrupt log: {message}"):
+                fn(log)
+
+    def test_rejects_an_initial_vertex_out_of_range(self):
+        log = ForceLog(VertexSet.of(4, [0, 3]), "standard",
+                       (Force(0, 1), Force(1, 2)), VertexSet.full(3))
+        for fn in (chains, reversal):
+            with pytest.raises(GraphError,
+                               match="corrupt log: initial vertex 3 leaves 0..2"):
+                fn(log)
+
+    def test_rejects_a_forcer_that_is_still_white(self):
+        log = ForceLog(VertexSet.of(3, [0]), "standard",
+                       (Force(0, 1), Force(2, 2)), VertexSet.full(3))
+        for fn in (chains, reversal):
+            with pytest.raises(GraphError,
+                               match="corrupt log: vertex 2 forces before it is black"):
+                fn(log)
+
+    def test_rejects_a_vertex_never_reached(self):
+        log = ForceLog(VertexSet.of(3, [0]), "standard",
+                       (Force(0, 1),), VertexSet.full(3))
+        for fn in (chains, reversal):
+            with pytest.raises(GraphError,
+                               match="corrupt log: vertex 2 is neither initial nor forced"):
+                fn(log)
+
     def test_rejects_a_cyclic_log_without_walking_it(self):
         # the walk along 0 -> 1 -> 0 -> ... never ends, so it runs in a child
         # whose address space is capped: a regression fails with MemoryError
@@ -203,6 +240,22 @@ class TestReversal:
             rev = reversal(log)
             assert len(rev) == len(init)
             assert is_forcing_set(g, rev)
+
+    def test_ends_of_the_minimum_set_logs(self):
+        # the logs of reproduce's reversal criterion
+        logs = [derived_set(g, s) for g in connected_graphs_upto(7)
+                for s in all_minimum_zfs(g, "standard")]
+        assert len(logs) == 12322
+        rng = random.Random(23)
+        while len(logs) < 12322 + 200:
+            g = random_graph(rng, rng.randint(2, 30), rng.choice([0.1, 0.2, 0.4]))
+            init = VertexSet.of(g.n, [v for v in range(g.n) if rng.random() < 0.4])
+            if is_forcing_set(g, init):
+                logs.append(derived_set(g, init))
+        for log in logs:
+            ends = VertexSet.of(log.initial.n, (c[-1] for c in chains(log)))
+            assert reversal(log) == ends, log
+            assert len(reversal(log)) == len(log.initial), log
 
     def test_pinwheel_reversal_forces(self):
         g = family("pinwheel12")

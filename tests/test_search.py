@@ -163,6 +163,23 @@ class TestZeroForcingNumber:
             res = zero_forcing_number(g)
             assert res.best.to_list() == list(reference_minimum(g, "standard"))
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "pure-python"])
+    @pytest.mark.parametrize("rule", ["standard", "psd"])
+    def test_isolated_vertex_adds_its_own_scan(self, kc, monkeypatch, cold_memo,
+                                               rule, compiled):
+        # a connected graph is scanned whole, a proper component is induced
+        # and its set mapped back: both paths must give the same counts
+        monkeypatch.setattr(zforce.kernels, "_c", kc if compiled else None)
+        k1 = Graph(1, [0])
+        lone = zero_forcing_number(k1, rule)
+        for g in connected_graphs_upto(6):
+            whole = zero_forcing_number(g, rule)
+            for union, mask in [(disjoint_union(k1, g), 1 | whole.best.mask << 1),
+                                (disjoint_union(g, k1), whole.best.mask | 1 << g.n)]:
+                res = zero_forcing_number(union, rule)
+                assert (res.value, res.best.mask, res.nodes_explored) == (
+                    whole.value + 1, mask, whole.nodes_explored + lone.nodes_explored), g
+
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             zero_forcing_number(family("path", [25]))
