@@ -32,6 +32,7 @@ from .search import (
     DEFAULT_ALL_MIN_LIMIT,
     DEFAULT_OS_LIMIT,
     DEFAULT_SEARCH_LIMIT,
+    OS_CEILING,
     all_minimum_zfs,
     maximum_os_set,
     zero_forcing_number,
@@ -113,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("os", help="OS number and a maximum OS-set")
     _add_input_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--search-limit", type=int, default=DEFAULT_OS_LIMIT)
+    p.add_argument("--search-limit", type=int, default=DEFAULT_OS_LIMIT,
+                   help=f"override the OS guard ({DEFAULT_OS_LIMIT}); no limit "
+                        f"lifts the ceiling of n <= {OS_CEILING}")
 
     p = sub.add_parser("witness", help="numeric matrix witnesses")
     wsub = p.add_subparsers(dest="witness_kind", required=True)

@@ -8,11 +8,13 @@ scanned as it is, so a query on one adds only a component pass to its
 scan.  The lower bounds follow the chain delta <= Z+ <= Z: the psd scan
 starts at the minimum degree and the standard scan continues from the Z+
 value found.
-A component scan runs once per process: its result is kept in a memo of
-the last _SCAN_MEMO components, keyed by component graph and rule, so a psd
-query followed by a standard query on the same graph, in either order,
-reuses the psd scan.  The process pool of `workers=`, for library callers
-only, is imported on demand and bypasses the memo.
+A scan maps a component and a rule to its lex-first forcing mask and the
+closures run; the value is the mask's size.  The serial scan runs once per
+process: its result is kept in a memo of the last _SCAN_MEMO components,
+keyed by component graph and rule, so a psd query followed by a standard
+query on the same graph, in either order, reuses the psd scan.  The pooled
+scan of `workers=`, for library callers only, runs over a process pool
+imported on demand and bypasses the memo.
 The OS number is computed by dynamic programming over vertex subsets and
 tied to Z+ by the duality OS(G) + Z+(G) = |G|.
 """
@@ -109,60 +111,54 @@ def zero_forcing_number(
     failed-closure cache.
     """
     _check_rule(rule)
-    pooled = isinstance(workers, int) and workers > 1
-    workers = _pool_size(workers, os.cpu_count() if pooled else 1)
+    if not isinstance(workers, int) or workers < 1:
+        raise GraphError(f"workers must be an integer of at least 1, got {workers!r}")
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     _guard(g.n, limit, f"zero_forcing_number({rule})")
     if workers == 1:
-        return _sum_components(g, rule, 1, None)
+        return _sum_components(g, rule, _serial_scan)
     from concurrent.futures import ProcessPoolExecutor
     # One pool for every component, scan and k; it forks on first use.
     with ProcessPoolExecutor(workers) as pool:
-        return _sum_components(g, rule, workers, pool)
+        scan = functools.partial(_scan, workers=workers, pool=pool)
+        return _sum_components(g, rule, scan)
 
 
-def _sum_components(g: Graph, rule: str, workers: int, pool) -> SearchResult:
+def _sum_components(g: Graph, rule: str, scan) -> SearchResult:
     """Add up the scans of g's components, taken in ascending order of their
-    smallest vertex.  Only a proper component is induced and has its set
+    smallest vertex; `scan(sub, rule)` gives a component's lex-first mask and
+    closure count.  Only a proper component is induced and has its set
     mapped back, so a connected graph is scanned as it is."""
     full = (1 << g.n) - 1
     rest = full
-    total = mask = nodes = 0
+    mask = nodes = 0
     while rest:
         comp = component_mask(g.adj, rest, (rest & -rest).bit_length() - 1)
         rest ^= comp
         sub, idx = (g, None) if comp == full else induced(g, VertexSet(g.n, comp))
-        value, submask, explored = (_serial_scan(sub, rule) if pool is None
-                                    else _scan(sub, rule, workers, pool))
-        total += value
+        submask, explored = scan(sub, rule)
         nodes += explored
         if idx is None:
             mask |= submask
         else:
             for v in _bits(submask):
                 mask |= 1 << idx[v]
-    return SearchResult(rule, total, VertexSet(g.n, mask), nodes)
-
-
-def _pool_size(workers: int, cpu_count: int | None) -> int:
-    """Worker processes to use for a requested count: 1 .. cpu_count."""
-    if not isinstance(workers, int) or workers < 1:
-        raise GraphError(f"workers must be an integer of at least 1, got {workers!r}")
-    return min(workers, cpu_count or 1)
+    return SearchResult(rule, mask.bit_count(), VertexSet(g.n, mask), nodes)
 
 
 def _scan(sub: Graph, rule: str, workers: int, pool, psd=None):
-    """(value, lex-first mask, closures run) for one connected component.
+    """(lex-first mask, closures run) for one connected component.
 
     The psd scan starts at the minimum degree; for the standard rule the
-    standard scan continues from its value, and the closure count includes
-    both.  `psd` is the psd scan's result when the caller already has it.
+    standard scan continues from its set's size, and the closure count
+    includes both.  `psd` is the psd scan's result when the caller has it.
     """
-    value, mask, nodes = psd or _first_k(
-        sub, "psd", max(1, min_degree(sub)), workers, pool)
+    mask, nodes = psd or _first_k(sub, "psd", max(1, min_degree(sub)), workers, pool)
     if rule == "standard":
-        value, mask, more = _first_k(sub, rule, value, workers, pool)
+        mask, more = _first_k(sub, rule, mask.bit_count(), workers, pool)
         nodes += more
-    return value, mask, nodes
+    return mask, nodes
 
 
 @functools.lru_cache(maxsize=_SCAN_MEMO)
@@ -177,7 +173,7 @@ def _serial_scan(sub: Graph, rule: str):
 
 
 def _first_k(sub: Graph, rule: str, lb: int, workers: int, pool):
-    """(k, lex-first forcing mask, closures run) for the smallest k >= lb.
+    """(lex-first forcing k-subset mask, closures run) for the smallest k >= lb.
 
     With a pool, subset spaces of at least _PARALLEL_MIN_WORK are split into
     one contiguous lexicographic range per worker.
@@ -189,20 +185,15 @@ def _first_k(sub: Graph, rule: str, lb: int, workers: int, pool):
             results = [kernels.first_forcing_lex(sub.adj, n, k, rule)]
         else:
             chunk = (total + workers - 1) // workers
-            results = list(pool.map(_chunk_worker, [
+            results = list(pool.map(kernels.first_forcing_lex, *zip(*[
                 (sub.adj, n, k, rule, _unrank(n, k, lo), min(chunk, total - lo))
                 for lo in range(0, total, chunk)
-            ]))
+            ])))
         nodes += sum(explored for _, explored in results)
         for found, _ in results:  # ranges are in lex order; first hit is lex-min
             if found is not None:
-                return k, found, nodes
+                return found, nodes
     raise InvariantViolation("V itself must always be a forcing set")
-
-
-def _chunk_worker(args):
-    adj, n, k, rule, start, count = args
-    return kernels.first_forcing_lex(adj, n, k, rule, start, count)
 
 
 def _unrank(n: int, k: int, rank: int) -> tuple[int, ...]:

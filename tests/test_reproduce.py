@@ -60,7 +60,7 @@ def test_reproduce_does_not_import_networkx():
     code = (
         "import sys\n"
         "from zforce import cli\n"
-        "rc = cli.main(['reproduce', '--max-n', '3'])\n"
+        "rc = cli.main(['reproduce'])\n"
         "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
         "sys.exit(rc)\n"
     )

@@ -186,11 +186,18 @@ class TestZeroForcingNumber:
         assert zero_forcing_number(family("path", [25]), limit=25).value == 1
 
     def test_workers_deterministic(self, monkeypatch):
-        monkeypatch.setattr(zforce.search, "_PARALLEL_MIN_WORK", 1)
-        g = family("pinwheel12")
-        seq = zero_forcing_number(g, "standard", workers=1)
-        par = zero_forcing_number(g, "standard", workers=3)
-        assert (seq.value, seq.best) == (par.value, par.best)
+        # every k >= 5 of C4xC4 has at least _PARALLEL_MIN_WORK subsets, so a
+        # real two-process pool splits them; it must give the serial value
+        # and set, and the in-process double's node counts, which exceed the
+        # serial ones since each chunk starts with an empty cache
+        g = cartesian_product(family("cycle", [4]), family("cycle", [4]))
+        monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 2)
+        pooled = search_outputs(g, ["psd", "standard"], workers=2)
+        use_in_process_pool(monkeypatch)
+        assert search_outputs(g, ["psd", "standard"], workers=2) == pooled
+        assert [nodes for _, _, nodes in pooled] == [15325, 15327]
+        assert [out[:2] for out in pooled] == [
+            out[:2] for out in search_outputs(g, ["psd", "standard"])]
 
     @pytest.mark.parametrize("name,rule,value,best,nodes", [
         # pinwheel12 and ML12 as in perfbench/golden.json
@@ -233,14 +240,15 @@ class TestZeroForcingNumber:
             assert res.nodes_explored == nodes
         assert built == [2, 2]
 
-    def test_workers_bounded_by_cpu_count(self):
-        pool_size = zforce.search._pool_size
-        assert pool_size(1, 8) == 1
-        assert pool_size(10000, 2) == 2
-        assert pool_size(3, None) == 1
+    def test_workers_bounded_by_cpu_count(self, monkeypatch):
+        built = use_in_process_pool(monkeypatch)
+        # one worker, or one CPU, searches serially and builds no pool
+        for cpus, workers, pools in ((8, 1, []), (2, 10000, [2]), (None, 3, [])):
+            monkeypatch.setattr(zforce.search.os, "cpu_count", lambda cpus=cpus: cpus)
+            built.clear()
+            assert zero_forcing_number(family("pinwheel12"), workers=workers).value == 4
+            assert built == pools
         for bad in (0, -4):
-            with pytest.raises(GraphError):
-                pool_size(bad, 8)
             with pytest.raises(GraphError):
                 zero_forcing_number(family("path", [3]), workers=bad)
 
@@ -300,18 +308,18 @@ def use_in_process_pool(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(zforce.search.os, "cpu_count", lambda: 4)
     return built
 
 
-def search_outputs(g, rules):
+def search_outputs(g, rules, workers=1):
     return [
         (r.value, r.best, r.nodes_explored)
-        for rule in rules for r in [zero_forcing_number(g, rule)]
+        for rule in rules for r in [zero_forcing_number(g, rule, workers=workers)]
     ]
 
 
@@ -594,7 +602,8 @@ def test_removed_names_are_gone():
 
     for owner, name in ((forcing, "ChainDecomposition"), (graph, "read_graph6_file"),
                         (kernels, "HAVE_COMPILED"), (Graph, "complement"),
-                        (forcing, "derived_mask")):
+                        (forcing, "derived_mask"), (zforce.search, "_pool_size"),
+                        (zforce.search, "_chunk_worker")):
         assert not hasattr(owner, name) and not hasattr(zforce, name), name
     assert [f.name for f in dataclasses.fields(Force)] == ["forcer", "forced", "component"]
     # a verdict stores only its fault; bool() says whether there is one
