@@ -5,7 +5,9 @@ masks are plain Python ints.  The compiled twin in _kernels.c mirrors
 these semantics exactly for n <= 64, including the failed-closure cache
 policy (the 64 most recent failed closures, oldest replaced first), so node
 counts agree.  k-subsets are scanned in `itertools.combinations(range(n), k)`
-order, which is lexicographic.  One closure loop serves both rules: the
+order, which is lexicographic; the compiled twin relabels v -> n-1-v, under
+which that order is descending numeric order of the masks, and walks it with
+the complement of Gosper's successor.  One closure loop serves both rules: the
 standard rule is the psd loop with one component, the whole white set.
 """
 

@@ -9,6 +9,7 @@ builds it from the current `_kernels.c`.
 
 import math
 import random
+from itertools import combinations, islice
 
 import pytest
 
@@ -43,14 +44,30 @@ class TestCompiledTwin:
 
     def test_search_agrees_including_node_counts(self, kc):
         rng = random.Random(29)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(2, 9), rng.random())
-            k = rng.randint(1, g.n)
+        cases = [(g, rng.randint(1, g.n)) for g in
+                 (random_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(40))]
+        # the C scans read 8-vertex neighbourhood tables and walk subsets as
+        # masks: one full chunk, a partial last chunk, a second and a third
+        # chunk, and the top bit at n = 64
+        for n in (8, 9, 16, 17, 63, 64):
+            rng = random.Random(n)
+            for p in (0.05, 0.2, 0.5, 0.9):
+                g = random_graph(rng, n, p)
+                cases += [(g, k) for k in sorted({1, 2, n - 1, n})
+                          if math.comb(n, k) <= 5000]
+        for g, k in cases:
+            total = math.comb(g.n, k)
+            starts = [next(islice(combinations(range(g.n), k), r, None))
+                      for r in (0, total // 2, total - 1)]
             for psd in (False, True):
                 assert kc.first_forcing_lex(g.adj, g.n, k, psd) == \
                     kpy.first_forcing_lex(g.adj, g.n, k, psd)
                 assert kc.all_forcing_lex(g.adj, g.n, k, psd) == \
                     kpy.all_forcing_lex(g.adj, g.n, k, psd)
+                for start in starts:
+                    for count in (1, 3, -1):
+                        assert kc.first_forcing_lex(g.adj, g.n, k, psd, start, count) \
+                            == kpy.first_forcing_lex(g.adj, g.n, k, psd, start, count)
 
     def test_chunked_search_agrees(self, kc):
         rng = random.Random(31)
